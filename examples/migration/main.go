@@ -37,16 +37,16 @@ func main() {
 	} {
 		for _, alg := range []struct {
 			name string
-			opt  func() govisor.MigrateOptions
+			opt  func() govisor.StreamOptions
 		}{
-			{"pre-copy", func() govisor.MigrateOptions { return govisor.DefaultMigrateOptions() }},
-			{"stop-and-copy", func() govisor.MigrateOptions {
-				o := govisor.DefaultMigrateOptions()
+			{"pre-copy", govisor.DefaultStreamOptions},
+			{"stop-and-copy", func() govisor.StreamOptions {
+				o := govisor.DefaultStreamOptions()
 				o.Mode = govisor.StopAndCopy
 				return o
 			}},
-			{"post-copy", func() govisor.MigrateOptions {
-				o := govisor.DefaultMigrateOptions()
+			{"post-copy", func() govisor.StreamOptions {
+				o := govisor.DefaultStreamOptions()
 				o.Mode = govisor.PostCopy
 				o.PostCopyPushChunk = 256
 				return o
@@ -59,7 +59,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rep, err := govisor.Migrate(src, dst, alg.opt())
+			rep, err := govisor.StreamMigrate(src, dst, alg.opt())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -171,15 +171,12 @@ var (
 
 // Migration.
 type (
-	// MigrateOptions configures a live migration.
-	MigrateOptions = migrate.Options
-	// MigrateReport is a migration outcome.
-	MigrateReport = migrate.Report
 	// Link models the migration channel.
 	Link = migrate.Link
-	// StreamOptions configures a streamed (wire-transport) migration.
+	// StreamOptions configures a live migration: algorithm, link and
+	// transport.
 	StreamOptions = migrate.StreamOptions
-	// StreamReport is a streamed migration outcome, with transport stats.
+	// StreamReport is a migration outcome, with transport stats.
 	StreamReport = migrate.StreamReport
 	// FaultPlan schedules deterministic transport faults.
 	FaultPlan = faultnet.Plan
@@ -195,14 +192,10 @@ const (
 )
 
 var (
-	// Migrate moves a running guest between VMs.
-	Migrate = migrate.Migrate
 	// Gbps builds a migration link.
 	Gbps = migrate.Gbps
-	// DefaultMigrateOptions returns pre-copy over a 10 Gb link.
-	DefaultMigrateOptions = migrate.DefaultOptions
-	// StreamMigrate runs a migration over a real wire with retry,
-	// resume, and abort-with-rollback.
+	// StreamMigrate live-migrates a running guest between VMs over a
+	// wire, with retry, resume, and abort-with-rollback.
 	StreamMigrate = migrate.StreamMigrate
 	// DefaultStreamOptions returns streamed pre-copy over net.Pipe.
 	DefaultStreamOptions = migrate.DefaultStreamOptions

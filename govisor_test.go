@@ -68,7 +68,7 @@ func TestIntegrationCloneThenMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := govisor.Migrate(clone, dst, govisor.DefaultMigrateOptions())
+	rep, err := govisor.StreamMigrate(clone, dst, govisor.DefaultStreamOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

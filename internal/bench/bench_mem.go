@@ -42,12 +42,12 @@ func F7Migration() (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt := migrate.DefaultOptions()
+			opt := migrate.DefaultStreamOptions()
 			opt.Mode = alg.mode
 			if alg.mode == migrate.PostCopy {
 				opt.PostCopyPushChunk = 256
 			}
-			rep, err := migrate.Migrate(src, dst, opt)
+			rep, err := migrate.StreamMigrate(src, dst, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -92,10 +92,10 @@ func F8PrecopyRounds() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := migrate.DefaultOptions()
+		opt := migrate.DefaultStreamOptions()
 		opt.MaxRounds = maxRounds
 		opt.StopThresholdPages = 4
-		rep, err := migrate.Migrate(src, dst, opt)
+		rep, err := migrate.StreamMigrate(src, dst, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -134,10 +134,10 @@ func A3PrecopyBounds() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := migrate.DefaultOptions()
+		opt := migrate.DefaultStreamOptions()
 		opt.MaxRounds = rounds
 		opt.StopThresholdPages = 8
-		rep, err := migrate.Migrate(src, dst, opt)
+		rep, err := migrate.StreamMigrate(src, dst, opt)
 		if err != nil {
 			return nil, err
 		}

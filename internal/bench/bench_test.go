@@ -2,8 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"govisor/internal/metrics"
 )
 
 // TestRegistryComplete checks the experiment index is well-formed.
@@ -56,6 +60,40 @@ func TestFastExperimentsProduceTables(t *testing.T) {
 		if !strings.Contains(out, table.Header[0]) {
 			t.Fatalf("%s: header not rendered", e.ID)
 		}
+	}
+}
+
+// TestMigrationTablesGolden pins the migration experiments' tables byte
+// for byte against testdata/<id>.txt. Every number in them is simulated
+// (cycles, pages, bytes, rounds), so any change to the migration engine's
+// algorithms or cost model shows up here as a diff. The golden text was
+// recorded from the original in-process engine, which the streamed engine
+// replaced.
+func TestMigrationTablesGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("full-size experiments; see race_off_test.go")
+	}
+	for _, tc := range []struct {
+		id  string
+		run func() (*metrics.Table, error)
+	}{
+		{"F7", F7Migration},
+		{"F8", F8PrecopyRounds},
+		{"A3", A3PrecopyBounds},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := table.String(); got != string(want) {
+				t.Errorf("%s table moved:\ngot:\n%s\nwant:\n%s", tc.id, got, want)
+			}
+		})
 	}
 }
 

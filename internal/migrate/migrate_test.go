@@ -19,12 +19,19 @@ const (
 // destination.
 func pair(t *testing.T, dirtyPages, thinkOps uint64) (*core.VM, *core.VM) {
 	t.Helper()
+	return sizedPair(t, vmRAM, dirtyPages, thinkOps, 5_000_000/raceScale)
+}
+
+// sizedPair is pair with an explicit guest RAM size and warm-up budget; the
+// host pool holds four guests' worth of frames.
+func sizedPair(t *testing.T, ram, dirtyPages, thinkOps, warmup uint64) (*core.VM, *core.VM) {
+	t.Helper()
 	kernel, err := guest.BuildKernel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := mem.NewPool(frames)
-	src, err := core.NewVM(pool, core.Config{Name: "src", Mode: core.ModeHW, MemBytes: vmRAM})
+	pool := mem.NewPool(4 * (ram >> isa.PageShift))
+	src, err := core.NewVM(pool, core.Config{Name: "src", Mode: core.ModeHW, MemBytes: ram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +40,11 @@ func pair(t *testing.T, dirtyPages, thinkOps uint64) (*core.VM, *core.VM) {
 		t.Fatal(err)
 	}
 	// Warm up: let the workload touch its pages.
-	src.Step(5_000_000 / raceScale)
+	src.Step(warmup)
 	if src.State != core.StateRunning {
 		t.Fatalf("source state %v (err=%v)", src.State, src.Err)
 	}
-	dst, err := core.NewVM(pool, core.Config{Name: "dst", Mode: core.ModeHW, MemBytes: vmRAM})
+	dst, err := core.NewVM(pool, core.Config{Name: "dst", Mode: core.ModeHW, MemBytes: ram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +67,8 @@ func verifyDestRuns(t *testing.T, dst *core.VM) {
 
 func TestPreCopyMigratesAndConverges(t *testing.T) {
 	src, dst := pair(t, 16, 2000)
-	opt := DefaultOptions()
-	rep, err := Migrate(src, dst, opt)
+	opt := DefaultStreamOptions()
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +89,7 @@ func TestPreCopyMigratesAndConverges(t *testing.T) {
 
 func TestPreCopyMemoryIdenticalAtSwitchover(t *testing.T) {
 	src, dst := pair(t, 8, 5000)
-	if _, err := Migrate(src, dst, DefaultOptions()); err != nil {
+	if _, err := StreamMigrate(src, dst, DefaultStreamOptions()); err != nil {
 		t.Fatal(err)
 	}
 	// The source is paused: every present source page must match dst.
@@ -152,15 +159,15 @@ func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions()
+		opt := DefaultStreamOptions()
 		opt.Link = Gbps(1, 50) // slow link: dirty rounds must iterate
 		opt.StopThresholdPages = 2
 		opt.MaxRounds = 6
-		rep, err := Migrate(src, dst, opt)
+		rep, err := StreamMigrate(src, dst, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, dst
+		return rep.Report, dst
 	}
 
 	repMemo, dstMemo := run(false)
@@ -209,11 +216,11 @@ func TestPreCopyNonConvergenceAtHighDirtyRate(t *testing.T) {
 	// Fast dirtier (no think time, large set) over a slow link cannot
 	// converge; the algorithm must cap rounds and force stop-and-copy.
 	src, dst := pair(t, 320, 0)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.Link = Gbps(0.5, 50) // slow link
 	opt.MaxRounds = 5
 	opt.StopThresholdPages = 8
-	rep, err := Migrate(src, dst, opt)
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +236,10 @@ func TestPreCopyNonConvergenceAtHighDirtyRate(t *testing.T) {
 func TestDowntimeGrowsWithDirtyRate(t *testing.T) {
 	downtime := func(pages, think uint64) uint64 {
 		src, dst := pair(t, pages, think)
-		opt := DefaultOptions()
+		opt := DefaultStreamOptions()
 		opt.StopThresholdPages = 4
 		opt.MaxRounds = 8
-		rep, err := Migrate(src, dst, opt)
+		rep, err := StreamMigrate(src, dst, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,9 +255,9 @@ func TestDowntimeGrowsWithDirtyRate(t *testing.T) {
 
 func TestStopAndCopyDowntimeEqualsTotal(t *testing.T) {
 	src, dst := pair(t, 16, 1000)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.Mode = StopAndCopy
-	rep, err := Migrate(src, dst, opt)
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,16 +269,16 @@ func TestStopAndCopyDowntimeEqualsTotal(t *testing.T) {
 
 func TestPostCopyTinyDowntime(t *testing.T) {
 	src, dst := pair(t, 64, 100)
-	pre := DefaultOptions()
-	preRep, err := Migrate(src, dst, pre)
+	pre := DefaultStreamOptions()
+	preRep, err := StreamMigrate(src, dst, pre)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	src2, dst2 := pair(t, 64, 100)
-	post := DefaultOptions()
+	post := DefaultStreamOptions()
 	post.Mode = PostCopy
-	postRep, err := Migrate(src2, dst2, post)
+	postRep, err := StreamMigrate(src2, dst2, post)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,10 +298,10 @@ func TestPostCopyTinyDowntime(t *testing.T) {
 
 func TestPostCopyBackgroundPushCompletes(t *testing.T) {
 	src, dst := pair(t, 32, 500)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.Mode = PostCopy
 	opt.PostCopyPushChunk = 64
-	rep, err := Migrate(src, dst, opt)
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +318,7 @@ func TestMigrateRejectsBadStates(t *testing.T) {
 	src, dst := pair(t, 8, 1000)
 	src.Pause()
 	src.State = core.StateHalted
-	if _, err := Migrate(src, dst, DefaultOptions()); err == nil {
+	if _, err := StreamMigrate(src, dst, DefaultStreamOptions()); err == nil {
 		t.Fatal("halted source accepted")
 	}
 }
@@ -335,10 +342,10 @@ func TestPreCopyRoundsDecayGeometrically(t *testing.T) {
 	// With dirty rate below link rate, each round's page count should
 	// shrink (geometric decay) — the F8 shape.
 	src, dst := pair(t, 128, 1500)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.StopThresholdPages = 4
 	opt.MaxRounds = 12
-	rep, err := Migrate(src, dst, opt)
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

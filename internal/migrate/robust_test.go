@@ -1,52 +1,20 @@
 package migrate
 
 import (
-	"strings"
 	"testing"
 
-	"govisor/internal/core"
 	"govisor/internal/mem"
 )
-
-// TestMigrateRejectsSelfMigration: migrating a VM onto itself must be a
-// clean error, not silent state corruption.
-func TestMigrateRejectsSelfMigration(t *testing.T) {
-	src, _ := pair(t, 8, 2000)
-	if _, err := Migrate(src, src, DefaultOptions()); err == nil {
-		t.Fatalf("self-migration accepted")
-	} else if !strings.Contains(err.Error(), "same VM") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if src.State != core.StateRunning {
-		t.Fatalf("rejected migration changed source state to %v", src.State)
-	}
-}
-
-// TestMigrateRejectsSharedGuestPhys: two VM shells over one guest-physical
-// space would read and write the same frames; Migrate must refuse.
-func TestMigrateRejectsSharedGuestPhys(t *testing.T) {
-	src, dst := pair(t, 8, 2000)
-	alias := *dst
-	alias.Mem = src.Mem
-	if _, err := Migrate(src, &alias, DefaultOptions()); err == nil {
-		t.Fatalf("shared-memory migration accepted")
-	} else if !strings.Contains(err.Error(), "guest-physical") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if src.State != core.StateRunning {
-		t.Fatalf("rejected migration changed source state to %v", src.State)
-	}
-}
 
 // TestPostCopyReportCountsDemandFills: demand-fill costs must land in
 // rep.TotalCycles, not only on the destination clock. Regression for the
 // undercount where the PageSource hook charged dst.CPU silently.
 func TestPostCopyReportCountsDemandFills(t *testing.T) {
 	src, dst := pair(t, 16, 2000)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.Mode = PostCopy
 	opt.PostCopyPushChunk = 8
-	rep, err := Migrate(src, dst, opt)
+	rep, err := StreamMigrate(src, dst, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +34,10 @@ func TestPostCopyReportCountsDemandFills(t *testing.T) {
 // been pulled — otherwise demand-only mode pins the source forever.
 func TestPostCopyDemandOnlyReleasesSource(t *testing.T) {
 	src, dst := pair(t, 16, 2000)
-	opt := DefaultOptions()
+	opt := DefaultStreamOptions()
 	opt.Mode = PostCopy
 	opt.PostCopyPushChunk = 0 // demand-only
-	if _, err := Migrate(src, dst, opt); err != nil {
+	if _, err := StreamMigrate(src, dst, opt); err != nil {
 		t.Fatal(err)
 	}
 	hook := dst.PageSource

@@ -1,28 +1,26 @@
 package migrate
 
-// Streamed live migration: the in-process engine's three algorithms run
-// over a real byte transport (net.Pipe, TCP, anything io.ReadWriteCloser)
-// with the wire codec in wire.go, and — the point of the exercise — an
-// explicit failure model. Connections drop, frames corrupt, writes
+// The migration engine: the three algorithms run over a byte transport
+// (net.Pipe, TCP, anything io.ReadWriteCloser) with the wire codec in
+// wire.go, under an explicit failure model. Connections drop, frames corrupt, writes
 // truncate; the engine retries with backoff in simulated cycles, resumes
 // from the last destination-acked round re-sending only what was dirtied
 // since, and if the brown-out exceeds a hard DowntimeBudget it aborts and
 // rolls the source back so the guest never observes the attempt.
 //
-// Cost-model identity: the simulated clock charges the *logical* wire
-// sizes (pageWireSize per page, cpuStateWireSize for the CPU state) in the
-// exact sequence the in-process engine does, regardless of how frames are
-// physically encoded (zero-run batching shrinks WireBytes, never
-// BytesSent). A fault-free streamed migration is therefore byte-identical
-// to Migrate — same registers, RAM, dirty/COW accounting, and Report —
-// which stream_test.go proves differentially.
+// Cost model: the simulated clock charges the *logical* wire sizes
+// (pageWireSize per page, cpuStateWireSize for the CPU state), regardless
+// of how frames are physically encoded (zero-run batching shrinks
+// WireBytes, never BytesSent). A fault-free migration's Report and
+// guest-visible state therefore depend only on the guest, the link and
+// the options; stream_test.go pins them for every mode.
 //
 // Concurrency model: the protocol is strictly turn-based, so at any moment
 // each side has one goroutine touching its conn half. Pre-commit the
 // source drives and the destination reacts (session.serve); post-commit in
 // post-copy the roles invert — the destination drives pulls and chunk
 // requests, and redials on failure, handing the source a fresh half via
-// the session (the in-process stand-in for dialing the source's listener).
+// the session (standing in for dialing the source's listener).
 
 import (
 	"errors"
@@ -99,9 +97,10 @@ type StreamReport struct {
 }
 
 // StreamMigrate moves the running guest in src to dst over a wire. On
-// success dst is running and src is paused, exactly as Migrate leaves
-// them; on an ErrAborted error src is running again with guest-visible
-// state bit-for-bit as it was when the brown-out began.
+// success dst is running and src is paused; on an ErrAborted error src is
+// running again with guest-visible state bit-for-bit as it was when the
+// brown-out began. dst must be a freshly created VM (same config and
+// devices) that has not been booted.
 //
 //govisor:serialonly(drives two VMs and a wire protocol; migration runs outside worker context)
 func StreamMigrate(src, dst *core.VM, opt StreamOptions) (StreamReport, error) {
@@ -163,8 +162,8 @@ type session struct {
 	destResumes uint64
 	wireBytes   uint64
 
-	// post-copy source serving state (fixed at commit, like the
-	// in-process engine's `remaining` list and `sent` map). srvMu
+	// post-copy source serving state, fixed at commit: the push schedule
+	// (`remaining`, consumed from `cursor`) and the sent bitmap. srvMu
 	// serializes spawned demand-only servers: a redial may start the next
 	// server while the previous one is still unwinding from its dead conn,
 	// and both touch this state.
@@ -237,8 +236,8 @@ func (s *session) coveredLocked() bool {
 }
 
 // applyRuns lands streamed page runs in the destination's RAM, in gfn
-// order, through the same WriteRaw path the in-process engine uses — so
-// dirty/COW accounting on the destination is identical.
+// order, through WriteRaw — so the destination's dirty/COW accounting is
+// that of a plain page copy.
 func (s *session) applyRuns(runs []pageRun) error {
 	for _, r := range runs {
 		if r.Start+uint64(r.Count) > s.npages {
@@ -361,8 +360,8 @@ func (s *session) commit(m commitMsg, conn *wireConn) error {
 
 // demandPull is the destination's post-copy PageSource: consult the
 // present bitmap locally (absent pages fall back to demand-zero at no
-// cost, as in-process), pull over the wire with retry/redial, charge the
-// same RTT + transfer cost the in-process hook charges.
+// cost), pull over the wire with retry/redial, charge RTT + one page's
+// transfer to the destination clock.
 func (s *session) demandPull(gfn uint64) ([]byte, bool) {
 	s.mu.Lock()
 	skip := !bitmapGet(s.present, gfn) || bitmapGet(s.applied, gfn)
@@ -498,8 +497,7 @@ func (s *session) runServer(conn *wireConn) {
 
 // pushLoop is the destination's chunk-mode driver: request background
 // chunks, apply them, run the guest for the chunk's transfer cycles
-// (demand pulls interleave on the same conn), redial on failure. Mirrors
-// the in-process push loop's accounting exactly.
+// (demand pulls interleave on the same conn), redial on failure.
 func (s *session) pushLoop(conn *wireConn) {
 	backoff := s.opt.BackoffCycles
 	fails := 0
@@ -531,8 +529,8 @@ func (s *session) pushLoop(conn *wireConn) {
 }
 
 // pushChunkOnce requests one chunk and applies it. The chunk's logical
-// cost and byte accounting replicate the in-process loop: cost is
-// TxCycles(pushed·pageWireSize) and the guest runs for exactly that.
+// cost is TxCycles(pushed·pageWireSize) and the guest runs for exactly
+// that.
 func (s *session) pushChunkOnce() (done bool, err error) {
 	conn := s.dstConn
 	if err := conn.writeFrame(ftPullChunk, encodeU64(uint64(s.opt.PostCopyPushChunk))); err != nil {
@@ -576,7 +574,7 @@ func (s *session) pushChunkOnce() (done bool, err error) {
 // ---- source-side post-copy server ---------------------------------------
 
 // initPullState freezes the source's serving schedule at commit: the
-// present-page list (the in-process `remaining`) and the sent bitmap.
+// present-page list and the sent bitmap.
 func (s *session) initPullState() {
 	s.remaining = presentPages(s.src)
 	s.cursor = 0
@@ -650,8 +648,8 @@ func (s *session) servePage(conn *wireConn, gfn uint64, buf []byte) error {
 	return conn.writeFrame(ftPage, encodePage(m))
 }
 
-// serveChunk advances the push schedule by one in-process-equivalent
-// chunk: consume PostCopyPushChunk entries of the frozen remaining list,
+// serveChunk advances the push schedule by one chunk: consume
+// PostCopyPushChunk entries of the frozen remaining list,
 // push the not-yet-sent ones, report the pushed count. Cursor and sent
 // marks only advance after the whole chunk is on the wire, so a mid-chunk
 // drop re-sends the same chunk.
@@ -877,9 +875,9 @@ func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (ui
 }
 
 // trySendRound is one attempt: write the page runs and the round marker,
-// charge the logical transfer cost exactly as the in-process sendPages
-// does (source executes through an interleaved round; a paused source's
-// clock still advances), then block on the ack.
+// charge the logical transfer cost (the source executes through an
+// interleaved round; a paused source's clock still advances), then block
+// on the ack.
 func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) (uint64, error) {
 	var c uint64
 	if len(gfns) > 0 {
@@ -922,8 +920,8 @@ func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) 
 
 // sendCommit transfers the architectural state and the switchover marker.
 // If retries exhaust after the commit may have landed, the destination's
-// committed flag resolves the ambiguity — the in-process stand-in for a
-// fencing oracle; a real deployment would consult shared storage or a
+// committed flag resolves the ambiguity — a stand-in for a fencing
+// oracle; a real deployment would consult shared storage or a
 // coordination service before declaring either side dead.
 func (e *streamEngine) sendCommit(present []byte) error {
 	txCPU := e.opt.Link.TxCycles(cpuStateWireSize)
@@ -1113,8 +1111,8 @@ func (e *streamEngine) postCopy() error {
 		return e.servePhase()
 	}
 	// Demand-only: hand the source conn to a background server and
-	// return; demand fills accrue on the destination afterwards, exactly
-	// as the in-process engine's report snapshot does. The handshake and
+	// return; demand fills accrue on the destination afterwards, outside
+	// the returned report. The handshake and
 	// commit bytes already moved, so fold them in now and zero the
 	// counter — the server reports only post-handoff traffic. Join the
 	// destination reactor first: its last act was writing the commit ack

@@ -11,8 +11,8 @@ package migrate
 // land here). Page content travels as runs — contiguous gfn ranges sharing
 // zero-ness — so all-zero pages cost 13 bytes instead of a page on the
 // physical wire while the simulated cost model still charges the logical
-// pageWireSize per page, keeping streamed reports byte-identical to the
-// in-process engine's.
+// pageWireSize per page, so a report never depends on how frames were
+// encoded.
 
 import (
 	"encoding/binary"

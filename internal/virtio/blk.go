@@ -149,15 +149,26 @@ func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 	case BlkTFlush:
 		// In-memory images are always durable.
 	default:
-		q.WriteTo(status, []byte{BlkSUnsupp})
-		return written + 1
+		return b.complete(q, status, BlkSUnsupp, written)
 	}
 	code := byte(BlkSOK)
 	if !ok {
 		code = BlkSIOErr
+	}
+	return b.complete(q, status, code, written)
+}
+
+// complete writes the status byte and returns the chain's used length. A
+// status write that faults never reached the guest: the byte stays out of
+// the used length and the request counts as an error.
+func (b *Blk) complete(q *Queue, status DescBuf, code byte, written uint32) uint32 {
+	if err := q.WriteTo(status, []byte{code}); err != nil {
+		b.Errors++
+		return written
+	}
+	if code == BlkSIOErr {
 		b.Errors++
 	}
-	q.WriteTo(status, []byte{code})
 	return written + 1
 }
 
@@ -165,8 +176,7 @@ func (b *Blk) fail(q *Queue, ch Chain) uint32 {
 	b.Errors++
 	if len(ch.Buf) > 0 {
 		last := ch.Buf[len(ch.Buf)-1]
-		if last.Device && last.Len >= 1 {
-			q.WriteTo(last, []byte{BlkSIOErr})
+		if last.Device && last.Len >= 1 && q.WriteTo(last, []byte{BlkSIOErr}) == nil {
 			return 1
 		}
 	}

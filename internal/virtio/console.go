@@ -92,7 +92,9 @@ func (c *Console) flushInput() {
 			if n > len(c.in) {
 				n = len(c.in)
 			}
-			q.WriteTo(d, c.in[:n])
+			if q.WriteTo(d, c.in[:n]) != nil {
+				break // the buffer faulted: its input stays queued
+			}
 			c.in = c.in[n:]
 			written += uint32(n)
 			c.RxBytes += uint64(n)

@@ -6,10 +6,12 @@
 package virtio
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/storage"
 )
 
 // qSetup arms a bare queue at a fixed layout and returns it with its rings'
@@ -354,5 +356,96 @@ func TestQueueEnsurePageArithmetic(t *testing.T) {
 		if got[i] != byte(i) {
 			t.Fatalf("byte %d mismatch", i)
 		}
+	}
+}
+
+// TestBlkStatusFaultNotReported is the regression test for virtio-blk
+// dropping status-byte write faults: with the status descriptor aimed past
+// the end of RAM the device used to count nothing and still report the
+// status byte in the used length, as if the guest could read it. Every
+// completion path — success, unsupported type, and a malformed header —
+// must now count the error and leave the byte out of the used length.
+func TestBlkStatusFaultNotReported(t *testing.T) {
+	cases := []struct {
+		name    string
+		reqType uint32
+		hdrLen  uint32
+		data    *DescBuf
+		wantLen uint32
+	}{
+		{"write", BlkTOut, BlkHeaderSize, &DescBuf{Len: SectorSize}, 0},
+		{"read", BlkTIn, BlkHeaderSize, &DescBuf{Len: SectorSize, Device: true}, SectorSize},
+		{"unsupported", 99, BlkHeaderSize, nil, 0},
+		{"short-header", BlkTOut, BlkHeaderSize - 1, nil, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, blk, _, drv, bufBase := blkSetup(t, storage.NewRaw(16))
+			var hdr [BlkHeaderSize]byte
+			binary.LittleEndian.PutUint32(hdr[0:], tc.reqType)
+			g.Write(bufBase, hdr[:])
+			chain := []DescBuf{{Addr: bufBase, Len: tc.hdrLen}}
+			if tc.data != nil {
+				d := *tc.data
+				d.Addr = bufBase + 0x100
+				chain = append(chain, d)
+			}
+			chain = append(chain, DescBuf{Addr: g.Size() + 0x1000, Len: 1, Device: true})
+			if _, err := drv.Submit(chain); err != nil {
+				t.Fatal(err)
+			}
+			drv.Kick()
+			_, written, ok := drv.PollUsed()
+			if !ok {
+				t.Fatal("request must still complete its chain")
+			}
+			if written != tc.wantLen {
+				t.Fatalf("used length %d, want %d: the faulted status byte was reported as written", written, tc.wantLen)
+			}
+			if blk.Errors != 1 {
+				t.Fatalf("errors = %d, want 1", blk.Errors)
+			}
+		})
+	}
+}
+
+// TestConsoleRxFaultKeepsInput is the regression test for virtio-console
+// consuming input that never reached the guest: an RX buffer past the end
+// of RAM used to swallow the pending bytes and report them delivered. The
+// faulting chain must complete empty, and the input must stay queued for
+// the next good buffer.
+func TestConsoleRxFaultKeepsInput(t *testing.T) {
+	g := newGuest(t, 64)
+	con := NewConsole()
+	d := NewMMIODev("vcon", con, g, nil)
+	con.Bind(d)
+	drv, buf, err := NewDriver(g, d, ConsoleRXQueue, 0xC000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drv.Submit([]DescBuf{{Addr: g.Size() + 0x1000, Len: 64, Device: true}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	con.Feed([]byte("hi"))
+	if _, written, ok := drv.PollUsed(); !ok || written != 0 {
+		t.Fatalf("faulting rx buffer: written=%d ok=%v, want 0/true", written, ok)
+	}
+	if con.RxBytes != 0 {
+		t.Fatalf("RxBytes = %d for input that never reached the guest", con.RxBytes)
+	}
+	// A good buffer posted next receives the input the fault left queued.
+	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: 64, Device: true}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	_, written, ok := drv.PollUsed()
+	if !ok || written != 2 {
+		t.Fatalf("rx written = %d ok=%v, want 2", written, ok)
+	}
+	got := make([]byte, 2)
+	g.Read(buf, got)
+	if string(got) != "hi" || con.RxBytes != 2 {
+		t.Fatalf("rx = %q RxBytes = %d, want \"hi\"/2", got, con.RxBytes)
 	}
 }
