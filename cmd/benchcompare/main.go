@@ -11,7 +11,7 @@
 // contract — so a key mismatch also catches a simulated number silently
 // drifting. Baselines refresh with one command:
 //
-//	go run ./cmd/benchsuite -quick -json bench-baseline M1 M2 M3 M4 M5 M6
+//	go run ./cmd/benchsuite -quick -json bench-baseline $(go run ./cmd/benchsuite -list | awk '$1 ~ /^M/ {print $1}')
 //
 // Tables without a host-ns/guest-instr column (M2 measures wall-clock
 // scale-out, which shared runners cannot gate meaningfully) are skipped.

@@ -10,6 +10,7 @@ import (
 	"govisor/internal/isa"
 	"govisor/internal/metrics"
 	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 	"govisor/internal/vnet"
 )
 
@@ -23,7 +24,7 @@ const m9Pairs = 8
 // every simulated number — is identical at every worker count (the M2
 // pattern). Receiver MACs are statically installed in the FDB; passive
 // receivers never transmit, so the switch cannot learn them.
-func m9Fleet(frames, batch, frameLen uint64, nospan bool) (*core.Host, *vnet.Switch, error) {
+func m9Fleet(frames, batch, frameLen uint64, engine vcpu.Engine) (*core.Host, *vnet.Switch, error) {
 	const vms = 2 * m9Pairs
 	sw := vnet.NewSwitch()
 	h := core.NewHost(uint64(vms+2)*(benchRAM>>isa.PageShift), vms, sched.NewCredit())
@@ -33,7 +34,7 @@ func m9Fleet(frames, batch, frameLen uint64, nospan bool) (*core.Host, *vnet.Swi
 
 		send, err := h.CreateVM(core.Config{
 			Name: fmt.Sprintf("m9-tx%d", i), Mode: core.ModeHW, MemBytes: benchRAM,
-			NoSpanDMA: nospan,
+			Engine: engine,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -52,7 +53,7 @@ func m9Fleet(frames, batch, frameLen uint64, nospan bool) (*core.Host, *vnet.Swi
 
 		recv, err := h.CreateVM(core.Config{
 			Name: fmt.Sprintf("m9-rx%d", i), Mode: core.ModeHW, MemBytes: benchRAM,
-			NoSpanDMA: nospan,
+			Engine: engine,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -76,15 +77,15 @@ func m9Fleet(frames, batch, frameLen uint64, nospan bool) (*core.Host, *vnet.Swi
 
 // M9Dataplane: host-side throughput of the virtio-net dataplane storm —
 // 8 unicast sender→receiver flows over one shared switch under RunParallel —
-// with the span-DMA memo on (at 1 and 4 workers) against the unmemoized
-// NoSpanDMA reference arm. Timestamp-ordered epoch-barrier delivery and the
-// span memo must be architecturally invisible: guest cycles, retired
-// instructions, the host clock and every switch counter are byte-identical
-// across all arms and worker counts — enforced here at bench time, and
-// proven in full (registers, CSRs, RAM hashes, VMM/MMU/TLB stats, serial
-// engine included) by TestDifferentialDataplaneInvisible. The gated
-// measurement is host ns per guest instruction; frames forwarded is pure
-// simulated output.
+// on the full stack (EngineTraced, span-DMA memo included) at 1 and 4
+// workers against the oracle tier (no icache, page-by-page DMA) at 1
+// worker. Timestamp-ordered epoch-barrier delivery and every engine layer
+// must be architecturally invisible: guest cycles, retired instructions, the
+// host clock and every switch counter are byte-identical across all arms
+// and worker counts — enforced here at bench time, and proven in full
+// (registers, CSRs, RAM hashes, VMM/MMU/TLB stats, serial engine included)
+// by TestDifferentialDataplaneInvisible. The gated measurement is host ns
+// per guest instruction; frames forwarded is pure simulated output.
 func M9Dataplane() (*metrics.Table, error) {
 	t := &metrics.Table{Header: []string{
 		"config", "workers", "guest instrs", "guest cycles (vm0)", "forwarded", "host ns/instr", "speedup",
@@ -102,8 +103,8 @@ func M9Dataplane() (*metrics.Table, error) {
 		fwd     uint64
 		hostNs  float64
 	}
-	run := func(workers int, nospan bool) (result, error) {
-		h, sw, err := m9Fleet(frames, batch, frameLen, nospan)
+	run := func(workers int, engine vcpu.Engine) (result, error) {
+		h, sw, err := m9Fleet(frames, batch, frameLen, engine)
 		if err != nil {
 			return result{}, err
 		}
@@ -111,7 +112,7 @@ func M9Dataplane() (*metrics.Table, error) {
 		h.RunParallel(workers, benchBudget)
 		elapsed := float64(time.Since(start).Nanoseconds())
 		if !h.AllHalted() {
-			return result{}, fmt.Errorf("bench: M9 fleet did not halt (workers=%d nospan=%v)", workers, nospan)
+			return result{}, fmt.Errorf("bench: M9 fleet did not halt (workers=%d engine=%v)", workers, engine)
 		}
 		var instret uint64
 		for _, vm := range h.VMs {
@@ -132,21 +133,21 @@ func M9Dataplane() (*metrics.Table, error) {
 	arms := []struct {
 		config  string
 		workers int
-		nospan  bool
+		engine  vcpu.Engine
 	}{
-		{"reference (NoSpanDMA)", 1, true},
-		{"dataplane", 1, false},
-		{"dataplane", 4, false},
+		{"oracle", 1, vcpu.EngineOracle},
+		{"dataplane", 1, vcpu.EngineTraced},
+		{"dataplane", 4, vcpu.EngineTraced},
 	}
 	// Warm allocator and host caches with one throwaway run per arm.
 	for _, a := range arms {
-		if _, err := run(a.workers, a.nospan); err != nil {
+		if _, err := run(a.workers, a.engine); err != nil {
 			return nil, err
 		}
 	}
 	var base result
 	for i, a := range arms {
-		r, err := run(a.workers, a.nospan)
+		r, err := run(a.workers, a.engine)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +155,7 @@ func M9Dataplane() (*metrics.Table, error) {
 			base = r
 		}
 		// The transparency property, enforced at benchmark time: neither the
-		// span memo nor the worker count may leak into anything the
+		// engine tier nor the worker count may leak into anything the
 		// simulation can observe.
 		if r.cycles != base.cycles || r.instret != base.instret || r.now != base.now || r.fwd != base.fwd {
 			return nil, fmt.Errorf("bench: M9 dataplane not invisible (%s w=%d): "+

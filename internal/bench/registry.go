@@ -57,17 +57,13 @@ func All() []Experiment {
 			"8-VM fleet wall-clock drops ≈ min(workers, host cores)× with byte-identical guest state at every worker count"},
 		{"M3", "Simulator: superblock execution engine", M3Superblocks,
 			"≥1.5× lower host ns/guest-instr on straight-line workloads with identical guest cycles (blocks are architecturally invisible)"},
-		{"M4", "Simulator: threaded dispatch engine", M4Dispatch,
-			"≥1.2× lower host ns/guest-instr on the ALU stream vs the dispatch switch with identical guest cycles (decode-time executor resolution is architecturally invisible)"},
-		{"M5", "Simulator: write-path memoization engine", M5WriteMemo,
-			"≥1.5× lower host ns/guest-instr on the store-dense stream vs per-store resolution with identical guest cycles and dirty accounting (the write memo is architecturally invisible)"},
 		{"M6", "Simulator: cross-page superblocks and block chaining", M6BlockChain,
-			"≥1.2× lower host ns/guest-instr on the cross-page streams vs NoBlockChain with identical guest cycles (chaining is architecturally invisible)"},
+			"≥1.2× lower host ns/guest-instr on the cross-page streams vs the blocks tier with identical guest cycles (chaining is architecturally invisible)"},
 		{"M7", "Resilience: streamed-migration host evacuation", M7Evacuation,
 			"every VM drains byte-identically over real wire connections, clean and under the seeded fault schedule; downtime percentiles, retries and resumes are deterministic"},
 		{"M8", "Simulator: hot-trace formation on the chain cache", M8HotTraces,
-			"boundary-straddling loop <7 host ns/guest-instr and ALU streams <6 vs NoTraces with identical guest cycles (traces are architecturally invisible)"},
+			"boundary-straddling loop <7 host ns/guest-instr and ALU streams <6 vs the chained tier with identical guest cycles (traces are architecturally invisible)"},
 		{"M9", "Dataplane: span-DMA memo and sharded timestamp-ordered switch", M9Dataplane,
-			"16-VM unicast storm: lower host ns/guest-instr than the NoSpanDMA arm with byte-identical guest cycles, host clock and switch counters across arms and worker counts"},
+			"16-VM unicast storm: lower host ns/guest-instr than the oracle tier with byte-identical guest cycles, host clock and switch counters across arms and worker counts"},
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"govisor/internal/isa"
 	"govisor/internal/mem"
 	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
 const (
@@ -41,6 +42,24 @@ func newTestVM(t *testing.T, mode Mode) *VM {
 func TestVMRejectsTinyMemory(t *testing.T) {
 	if _, err := NewVM(mem.NewPool(64), Config{Name: "x", MemBytes: 1024}); err == nil {
 		t.Fatal("tiny VM accepted")
+	}
+}
+
+// TestVMEngineTierWiring: the icache is attached exactly above the oracle
+// tier, and a tier past the oracle is rejected rather than silently run as
+// some other tier.
+func TestVMEngineTierWiring(t *testing.T) {
+	for _, e := range []vcpu.Engine{vcpu.EngineTraced, vcpu.EngineChained, vcpu.EngineBlocks, vcpu.EngineCached, vcpu.EngineOracle} {
+		vm, err := NewVM(mem.NewPool(tPool), Config{Name: "t", Mode: ModeNative, MemBytes: tRAM, Engine: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := vm.CPU.ICache != nil, e != vcpu.EngineOracle; got != want {
+			t.Errorf("%v: icache attached = %v, want %v", e, got, want)
+		}
+	}
+	if _, err := NewVM(mem.NewPool(tPool), Config{Name: "t", Mode: ModeNative, MemBytes: tRAM, Engine: vcpu.EngineOracle + 1}); err == nil {
+		t.Error("an unknown engine tier was accepted")
 	}
 }
 

@@ -121,49 +121,11 @@ type Config struct {
 	NoASID bool
 	// NestedLevels overrides the nested walk depth in ModeHW (default 3).
 	NestedLevels int
-	// NoICache disables the vCPU's decoded-instruction block cache. The
-	// cache is architecturally invisible (identical cycles, registers, CSRs
-	// and statistics either way) and on by default; turning it off exists
-	// for the differential transparency tests and host-side benchmarking.
-	NoICache bool
-	// NoSuperblocks disables superblock dispatch on top of the icache —
-	// same invisibility contract, same reason to exist. NoICache implies
-	// no superblocks (blocks live in predecoded pages).
-	NoSuperblocks bool
-	// NoThreadedDispatch pins the vCPU to the original dispatch switch
-	// instead of the decode-time-resolved executor table — same
-	// invisibility contract as the icache and superblocks; the switch arm
-	// exists for the differential transparency tests and dispatch
-	// benchmarking.
-	NoThreadedDispatch bool
-	// NoWriteMemo pins the vCPU's store path to the unmemoized reference
-	// arm (per-store translation, range checks and version bumps) instead
-	// of the write-path memo stack — same invisibility contract; the arm
-	// exists for the differential transparency tests and the M5 write-memo
-	// benchmark.
-	NoWriteMemo bool
-	// NoBlockChain pins block entry to the unchained reference arm: no
-	// cross-page superblock continuation and no recorded block→successor
-	// links; every block entry repeats the full fetch translation and
-	// icache lookup — same invisibility contract; the arm exists for the
-	// differential transparency tests and the M6 chaining benchmark.
-	// NoICache and NoSuperblocks each imply no chaining (links live in
-	// predecoded pages and anchor at block boundaries).
-	NoBlockChain bool
-	// NoTraces pins execution to the per-dispatch chained-block reference
-	// arm: hot chain links are never promoted to traces (multi-block runs
-	// with one entry check, whole-span admission and batched accounting) —
-	// same invisibility contract; the arm exists for the differential
-	// transparency tests and the M8 hot-trace benchmark. NoBlockChain (and
-	// so NoICache / NoSuperblocks) implies no traces: traces are built from
-	// and entered through chain links.
-	NoTraces bool
-	// NoSpanDMA pins guest-physical DMA to the unmemoized reference arm:
-	// ReadSpan/WriteSpan resolve every page through the per-access Read/Write
-	// path instead of the epoch-validated span memo — same invisibility
-	// contract as the write memo; the arm exists for the differential
-	// transparency tests and the M9 dataplane benchmark.
-	NoSpanDMA bool
+	// Engine is the vCPU's execution tier (see vcpu.Engine): the oracle
+	// interpreter or the fast-path stack up to a given layer. Every tier is
+	// architecturally invisible; the zero value is the full stack, and lower
+	// tiers exist for the differential suites and the M-series benchmarks.
+	Engine vcpu.Engine
 }
 
 // Marker is a benchmark region marker recorded by the HCMarker hypercall.
@@ -249,8 +211,12 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 	if cfg.MemBytes < 32*isa.PageSize {
 		return nil, fmt.Errorf("core: %s: at least 32 pages of RAM required", cfg.Name)
 	}
+	if cfg.Engine > vcpu.EngineOracle {
+		return nil, fmt.Errorf("core: %s: unknown engine tier %d", cfg.Name, cfg.Engine)
+	}
 	g := mem.NewGuestPhys(pool, cfg.MemBytes)
-	g.SetNoSpanDMA(cfg.NoSpanDMA)
+	// The oracle resolves guest DMA page by page, without the span memo.
+	g.SetNoSpanDMA(cfg.Engine == vcpu.EngineOracle)
 
 	var style mmu.Style
 	depriv := false
@@ -274,20 +240,12 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 		ctx.NestedLevels = cfg.NestedLevels
 	}
 
-	cpu := vcpu.New(g, ctx)
+	cpu := vcpu.New(g, ctx, cfg.Engine)
 	cpu.Deprivileged = depriv
 	cpu.Venv = cfg.Mode.Venv()
 	if cfg.Costs != nil {
 		cpu.Costs = *cfg.Costs
 	}
-	if !cfg.NoICache {
-		cpu.ICache = vcpu.NewICache()
-	}
-	cpu.NoSuperblocks = cfg.NoSuperblocks
-	cpu.NoThreadedDispatch = cfg.NoThreadedDispatch
-	cpu.NoWriteMemo = cfg.NoWriteMemo
-	cpu.NoBlockChain = cfg.NoBlockChain || cfg.NoSuperblocks || cfg.NoICache
-	cpu.NoTraces = cfg.NoTraces || cpu.NoBlockChain
 
 	vm := &VM{
 		Name:        cfg.Name,

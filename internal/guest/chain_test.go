@@ -11,6 +11,7 @@ import (
 	"govisor/internal/isa"
 	"govisor/internal/mem"
 	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
 // Cross-page control-flow torture: randomized standalone guests whose blocks
@@ -18,29 +19,8 @@ import (
 // jumps, fallthroughs) land on both sides of boundaries, and whose bodies
 // store into a successor code page (SMC) and flush the TLB between chained
 // blocks — every invalidation rule of the chain cache on one instruction
-// stream. The differential matrix below proves the chaining layer (and its
-// composition with every other fast path) architecturally invisible on it.
-
-// chainArms are the fast-path toggles the matrix composes: each alone, the
-// pairs that interact (chaining rides on superblocks and the block bodies
-// route through threaded dispatch and the write memo), and everything off.
-var chainArms = []struct {
-	name  string
-	tweak func(*core.Config)
-}{
-	{"no-chain", func(c *core.Config) { c.NoBlockChain = true }},
-	{"no-superblocks", func(c *core.Config) { c.NoSuperblocks = true }},
-	{"no-threaded", func(c *core.Config) { c.NoThreadedDispatch = true }},
-	{"no-writememo", func(c *core.Config) { c.NoWriteMemo = true }},
-	{"no-chain-no-threaded", func(c *core.Config) { c.NoBlockChain = true; c.NoThreadedDispatch = true }},
-	{"no-superblocks-no-writememo", func(c *core.Config) { c.NoSuperblocks = true; c.NoWriteMemo = true }},
-	{"interpreter", func(c *core.Config) {
-		c.NoBlockChain = true
-		c.NoSuperblocks = true
-		c.NoThreadedDispatch = true
-		c.NoWriteMemo = true
-	}},
-}
+// stream. The suites below prove every engine tier — chaining and the
+// layers composed with it — byte-identical to the oracle on it.
 
 // buildChainTorture assembles one randomized cross-page guest. The layout is
 // seed-deterministic: a loop over segments whose bodies are padded to
@@ -171,25 +151,23 @@ func bootChainTorture(t *testing.T, mode core.Mode, img []byte, tweak func(*core
 	return vm
 }
 
-// TestDifferentialBlockChainInvisible is the serial transparency proof for
-// cross-page superblocks and block chaining: on randomized cross-page
-// control-flow guests, the full fast-path stack must be indistinguishable
-// from every arm combination — cycles, instret, registers, CSRs, UART,
-// result slots, guest RAM, and every VMM/MMU/TLB statistic.
+// TestDifferentialBlockChainInvisible is the serial proof on randomized
+// cross-page control-flow guests: every tier must be indistinguishable from
+// the oracle, and every tier's layer up to chaining — the proof's point —
+// must run. (These churning guests rarely stay hot long enough to form a
+// trace; the trace torture below is the traced tier's workload.)
 func TestDifferentialBlockChainInvisible(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		img := buildChainTorture(t, seed)
 		for _, mode := range []core.Mode{core.ModeNative, core.ModeHW} {
 			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
-				base := bootChainTorture(t, mode, img, nil)
-				// The proof has teeth only if the baseline actually chained.
-				ic := base.CPU.ICache.Stats
-				if ic.Crossings == 0 || ic.ChainHits == 0 {
-					t.Fatalf("baseline never chained: %+v", ic)
-				}
-				for _, arm := range chainArms {
-					ref := bootChainTorture(t, mode, img, arm.tweak)
-					compareVMs(t, arm.name, ref, base, true)
+				live := proveTiers(t, func(e vcpu.Engine) *core.VM {
+					return bootChainTorture(t, mode, img, withEngine(e))
+				})
+				for _, e := range []vcpu.Engine{vcpu.EngineCached, vcpu.EngineBlocks, vcpu.EngineChained} {
+					if !live[e] {
+						t.Errorf("%v: the tier's layer never ran", e)
+					}
 				}
 			})
 		}
@@ -197,9 +175,9 @@ func TestDifferentialBlockChainInvisible(t *testing.T) {
 }
 
 // TestDifferentialBlockChainParallel extends the proof to the parallel
-// engine: a fleet of torture guests (distinct seeds) run under RunParallel
-// must be byte-identical with chaining on or off at every worker count 1..4,
-// including host clock and pool occupancy.
+// engine: a fleet of torture guests (distinct seeds) at the chained tier
+// under RunParallel must be byte-identical to the oracle fleet at every
+// worker count 1..4, including host clock and pool occupancy.
 func TestDifferentialBlockChainParallel(t *testing.T) {
 	imgs := [][]byte{
 		buildChainTorture(t, 101),
@@ -207,47 +185,29 @@ func TestDifferentialBlockChainParallel(t *testing.T) {
 		buildChainTorture(t, 303),
 		buildChainTorture(t, 404),
 	}
-	build := func(tweak func(*core.Config)) *core.Host {
-		h := core.NewHost(16<<20>>isa.PageShift, 2, sched.NewCredit())
-		for i, img := range imgs {
-			cfg := core.Config{Name: fmt.Sprintf("chain%d", i), Mode: core.ModeHW, MemBytes: testRAM}
-			if tweak != nil {
-				tweak(&cfg)
-			}
-			vm, err := h.CreateVM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vm.Boot(img); err != nil {
-				t.Fatal(err)
-			}
-			h.AddToScheduler(i, 256, 0)
-		}
-		return h
-	}
+	proveTierFleet(t, vcpu.EngineChained, func(tweak func(*core.Config)) *core.Host {
+		return buildImageFleet(t, "chain", imgs, tweak)
+	})
+}
 
-	ref := build(func(c *core.Config) { c.NoBlockChain = true })
-	runFleetParallel(t, ref, 1)
-
-	for workers := 1; workers <= 4; workers++ {
-		h := build(nil)
-		runFleetParallel(t, h, workers)
-		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
+// buildImageFleet boots one standalone hw-mode VM per image on a shared
+// host under the credit scheduler.
+func buildImageFleet(t *testing.T, name string, imgs [][]byte, tweak func(*core.Config)) *core.Host {
+	t.Helper()
+	h := core.NewHost(16<<20>>isa.PageShift, 2, sched.NewCredit())
+	for i, img := range imgs {
+		cfg := core.Config{Name: fmt.Sprintf("%s%d", name, i), Mode: core.ModeHW, MemBytes: testRAM}
+		if tweak != nil {
+			tweak(&cfg)
 		}
-		if h.Pool.InUse() != ref.Pool.InUse() {
-			t.Errorf("w=%d: pool occupancy %d != %d", workers, h.Pool.InUse(), ref.Pool.InUse())
+		vm, err := h.CreateVM(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		chained := false
-		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("chain w=%d vm=%s", workers, h.VMs[i].Name),
-				ref.VMs[i], h.VMs[i], true)
-			if st := h.VMs[i].CPU.ICache.Stats; st.Crossings > 0 && st.ChainHits > 0 {
-				chained = true
-			}
+		if err := vm.Boot(img); err != nil {
+			t.Fatal(err)
 		}
-		if !chained {
-			t.Errorf("w=%d: no VM ever chained a block", workers)
-		}
+		h.AddToScheduler(i, 256, 0)
 	}
+	return h
 }

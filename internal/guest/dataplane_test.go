@@ -7,18 +7,19 @@ import (
 	"govisor/internal/core"
 	"govisor/internal/isa"
 	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 	"govisor/internal/virtio"
 	"govisor/internal/vnet"
 )
 
-// The dataplane differential suite is the equivalence proof for PR 10's two
-// fast paths: timestamp-ordered epoch-barrier frame delivery and the
-// span-resolution DMA memo. A fleet of unicast sender→receiver pairs over
-// one shared switch must end in byte-identical guest state — cycles,
-// registers, CSRs, UART, RAM hashes (which cover the receivers' RX buffers,
-// i.e. the delivered frames and their order), VMM/MMU/TLB stats and switch
-// counters — no matter whether it ran serially, under RunParallel with any
-// worker count, or with the span memo disabled.
+// The dataplane differential suite is the equivalence proof for
+// timestamp-ordered epoch-barrier frame delivery and the span-resolution DMA
+// memo. A fleet of unicast sender→receiver pairs over one shared switch must
+// end in byte-identical guest state — cycles, registers, CSRs, UART, RAM
+// hashes (which cover the receivers' RX buffers, i.e. the delivered frames
+// and their order), VMM/MMU/TLB stats and switch counters — no matter
+// whether it ran serially or under RunParallel with any worker count, and
+// at any engine tier.
 
 // dataplanePair describes one sender→receiver flow.
 type dataplanePair struct {
@@ -131,33 +132,46 @@ func checkDataplaneDelivery(t *testing.T, label string, h *core.Host, sw *vnet.S
 	}
 }
 
-// TestDifferentialDataplaneInvisible: the timestamp-ordered switch flush and
-// the span-DMA memo must be architecturally invisible. RunParallel with 1..4
-// workers is byte-identical per VM (full comparison including exit counters
-// and population stats), the serial engine reaches the same guest-visible
-// state (host clock legitimately differs: epoch scheduling is host
-// bookkeeping), and a NoSpanDMA reference fleet matches in full.
+// TestDifferentialDataplaneInvisible: the timestamp-ordered switch flush,
+// the span-DMA memo and every engine tier must be architecturally
+// invisible. The reference is the oracle fleet (page-by-page DMA, no
+// icache) under RunParallel on one worker. Every tier under RunParallel with
+// 1..4 workers matches it in full (exit counters and population stats
+// included, host clock and switch counters too), and every tier and the
+// oracle under the serial engine reach the same guest-visible state (the
+// host clock legitimately differs: epoch scheduling is host bookkeeping).
+// In each tier's fleet at least one VM must exercise the tier's own layer.
 func TestDifferentialDataplaneInvisible(t *testing.T) {
 	pairs := dataplanePairs()
 
-	ref, refSW := buildDataplaneFleet(t, pairs, nil)
+	ref, refSW := buildDataplaneFleet(t, pairs, withEngine(vcpu.EngineOracle))
 	ref.RunParallel(1, 8_000_000_000)
-	checkDataplaneDelivery(t, "w=1", ref, refSW, pairs)
+	checkDataplaneDelivery(t, "oracle w=1", ref, refSW, pairs)
 	refStats := switchStats(refSW)
+	for _, vm := range ref.VMs {
+		checkOracle(t, "oracle vm="+vm.Name, vm)
+	}
 
-	for workers := 2; workers <= 4; workers++ {
-		h, sw := buildDataplaneFleet(t, pairs, nil)
-		h.RunParallel(workers, 8_000_000_000)
-		checkDataplaneDelivery(t, fmt.Sprintf("w=%d", workers), h, sw, pairs)
-		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
-		}
-		if got := switchStats(sw); got != refStats {
-			t.Errorf("w=%d: switch stats diverged: %+v vs %+v", workers, got, refStats)
-		}
-		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("w=%d vm=%s", workers, h.VMs[i].Name),
-				ref.VMs[i], h.VMs[i], true)
+	for _, e := range engineTiers {
+		for workers := 1; workers <= 4; workers++ {
+			label := fmt.Sprintf("%v w=%d", e, workers)
+			h, sw := buildDataplaneFleet(t, pairs, withEngine(e))
+			h.RunParallel(workers, 8_000_000_000)
+			checkDataplaneDelivery(t, label, h, sw, pairs)
+			if h.Now != ref.Now {
+				t.Errorf("%s: host clock %d != %d", label, h.Now, ref.Now)
+			}
+			if got := switchStats(sw); got != refStats {
+				t.Errorf("%s: switch stats diverged: %+v vs %+v", label, got, refStats)
+			}
+			live := false
+			for i := range h.VMs {
+				compareVMs(t, fmt.Sprintf("%s vm=%s", label, h.VMs[i].Name), ref.VMs[i], h.VMs[i], true)
+				live = live || tierLive(h.VMs[i], e)
+			}
+			if !live {
+				t.Errorf("%s: no VM exercised the tier's layer", label)
+			}
 		}
 	}
 
@@ -165,38 +179,17 @@ func TestDifferentialDataplaneInvisible(t *testing.T) {
 	// epoch barriers. Disjoint unicast flows make delivery order per
 	// receiver depend only on its one sender's send order, so guest-visible
 	// state must still match exactly.
-	hs, ssw := buildDataplaneFleet(t, pairs, nil)
-	hs.Run(8_000_000_000)
-	checkDataplaneDelivery(t, "serial", hs, ssw, pairs)
-	if got := switchStats(ssw); got != refStats {
-		t.Errorf("serial: switch stats diverged: %+v vs %+v", got, refStats)
-	}
-	for i := range hs.VMs {
-		compareVMs(t, fmt.Sprintf("serial vm=%s", hs.VMs[i].Name),
-			ref.VMs[i], hs.VMs[i], false)
-	}
-
-	// Span-memo reference arm: every DMA access resolves through the
-	// unmemoized per-page path. Full comparison — the memo may not even
-	// perturb population or dirty-tracking counters.
-	hn, nsw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.NoSpanDMA = true })
-	hn.RunParallel(1, 8_000_000_000)
-	checkDataplaneDelivery(t, "nospan", hn, nsw, pairs)
-	if got := switchStats(nsw); got != refStats {
-		t.Errorf("nospan: switch stats diverged: %+v vs %+v", got, refStats)
-	}
-	for i := range hn.VMs {
-		compareVMs(t, fmt.Sprintf("nospan vm=%s", hn.VMs[i].Name),
-			ref.VMs[i], hn.VMs[i], true)
-	}
-
-	// And the cross product: NoSpanDMA under the serial engine.
-	hns, nssw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.NoSpanDMA = true })
-	hns.Run(8_000_000_000)
-	checkDataplaneDelivery(t, "nospan-serial", hns, nssw, pairs)
-	for i := range hns.VMs {
-		compareVMs(t, fmt.Sprintf("nospan-serial vm=%s", hns.VMs[i].Name),
-			ref.VMs[i], hns.VMs[i], false)
+	for _, e := range append([]vcpu.Engine{vcpu.EngineOracle}, engineTiers...) {
+		label := fmt.Sprintf("%v serial", e)
+		hs, ssw := buildDataplaneFleet(t, pairs, withEngine(e))
+		hs.Run(8_000_000_000)
+		checkDataplaneDelivery(t, label, hs, ssw, pairs)
+		if got := switchStats(ssw); got != refStats {
+			t.Errorf("%s: switch stats diverged: %+v vs %+v", label, got, refStats)
+		}
+		for i := range hs.VMs {
+			compareVMs(t, fmt.Sprintf("%s vm=%s", label, hs.VMs[i].Name), ref.VMs[i], hs.VMs[i], false)
+		}
 	}
 }
 

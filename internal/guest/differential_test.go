@@ -6,7 +6,7 @@ import (
 
 	"govisor/internal/core"
 	"govisor/internal/gabi"
-	"govisor/internal/isa"
+	"govisor/internal/vcpu"
 )
 
 // TestDifferentialExecutionAcrossModes is the transparency property at the
@@ -48,17 +48,85 @@ func TestDifferentialExecutionAcrossModes(t *testing.T) {
 	}
 }
 
-// TestDifferentialICacheInvisible is the transparency proof for the decoded-
-// instruction block cache: for every virtualization mode and workload, a run
-// with the cache must be indistinguishable from a run without it — not just
-// in architectural state (cycles, instret, registers, CSRs, UART output) but
-// in every simulation statistic (VM exits, TLB hits/misses/evictions, MMU
-// walks, shadow fills, dirty pages). The cache may only change host time.
-func TestDifferentialICacheInvisible(t *testing.T) {
-	workloads := []struct {
-		name string
-		w    Workload
-	}{
+// The engine-tier differential suite. The oracle interpreter
+// (vcpu.EngineOracle) is the single operational semantics; every tier above
+// it must be indistinguishable from it — cycles, instret, registers, CSRs,
+// UART output, guest RAM and every simulated statistic (compareVMs with
+// full set) — and may only change host time. Every differential test in
+// this package indexes the same tier list, compares against the oracle
+// with the same helper, and asserts that the tier's own layer actually ran
+// (tierLive) so a proof can never pass vacuously. The mode × workload matrix
+// is split across four tests that keep the names of the layers that first
+// introduced them: ICache → cached, Superblock → blocks, ThreadedDispatch →
+// chained, WriteMemo → traced.
+
+// engineTiers is the tier index: every tier above the oracle.
+var engineTiers = []vcpu.Engine{vcpu.EngineCached, vcpu.EngineBlocks, vcpu.EngineChained, vcpu.EngineTraced}
+
+// withEngine is a config tweak selecting tier e.
+func withEngine(e vcpu.Engine) func(*core.Config) {
+	return func(c *core.Config) { c.Engine = e }
+}
+
+// tierLive reports whether vm, run at tier e, exercised the layer e adds:
+// icache hits (cached), superblock dispatch — fewer icache lookups than
+// retired instructions (blocks), chain hits (chained) or trace entries
+// (traced).
+func tierLive(vm *core.VM, e vcpu.Engine) bool {
+	ic := vm.CPU.ICache
+	if ic == nil {
+		return false
+	}
+	switch e {
+	case vcpu.EngineCached:
+		return ic.Stats.Hits > 0
+	case vcpu.EngineBlocks:
+		return ic.Stats.Hits+ic.Stats.Misses+ic.Stats.Invalidations < vm.CPU.Instret
+	case vcpu.EngineChained:
+		return ic.Stats.ChainHits > 0
+	default:
+		return ic.Stats.TraceEntries > 0
+	}
+}
+
+// checkOracle fails unless vm ran as the oracle: no icache attached, no
+// write-memo activity and not one span-memo entry installed.
+func checkOracle(t *testing.T, label string, vm *core.VM) {
+	t.Helper()
+	if vm.CPU.ICache != nil {
+		t.Errorf("%s: oracle run has an icache attached", label)
+	}
+	if m := vm.Mem; m.WMemoHits != 0 || m.WMemoFills != 0 || !m.SpanMemoEmpty() {
+		t.Errorf("%s: oracle run used a memo (wmemo hits=%d fills=%d, span memo empty=%v)",
+			label, m.WMemoHits, m.WMemoFills, m.SpanMemoEmpty())
+	}
+}
+
+// proveTiers boots one guest on the oracle and at every tier through boot,
+// demands every tier byte-identical to the oracle, and reports which tiers
+// showed their own layer live.
+func proveTiers(t *testing.T, boot func(vcpu.Engine) *core.VM) (live map[vcpu.Engine]bool) {
+	t.Helper()
+	oracle := boot(vcpu.EngineOracle)
+	checkOracle(t, "oracle", oracle)
+	live = map[vcpu.Engine]bool{}
+	for _, e := range engineTiers {
+		vm := boot(e)
+		compareVMs(t, e.String(), oracle, vm, true)
+		live[e] = tierLive(vm, e)
+	}
+	return live
+}
+
+// namedWorkload is one row of the mode × workload matrix.
+type namedWorkload struct {
+	name string
+	w    Workload
+}
+
+// tierWorkloads is the matrix's workload set.
+func tierWorkloads() []namedWorkload {
+	return []namedWorkload{
 		{"compute-hot", Compute(300, 50)},  // the F3 privileged-density loop
 		{"memtouch", MemTouch(4, 300, 40)}, // TLB pressure: fetch entries compete with data
 		{"ptchurn", PTChurn(2, false)},     // SFENCE flushes + write-protect faults
@@ -66,81 +134,51 @@ func TestDifferentialICacheInvisible(t *testing.T) {
 		{"csr", CSRLoop(80)},               // CSR exits every few instructions
 		{"idle", Idle(3, 50_000)},          // WFI, timer fast-forward, re-entry
 	}
+}
+
+// proveTierMatrix runs every workload in every mode at tier e and on the
+// oracle and demands byte-identical results; check, when set, adds
+// per-run assertions on the tier's VM for the named workload. It returns how many subtests showed
+// the tier's own layer live.
+func proveTierMatrix(t *testing.T, e vcpu.Engine, workloads []namedWorkload, check func(t *testing.T, workload string, vm *core.VM)) (live int) {
 	for _, mode := range allModes {
 		for _, wl := range workloads {
 			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
-				on := bootAndRunCfgd(t, mode, wl.w, false)
-				off := bootAndRunCfgd(t, mode, wl.w, true)
-
-				con, coff := on.CPU, off.CPU
-				if con.Cycles != coff.Cycles || con.Instret != coff.Instret {
-					t.Errorf("time diverged: cached (cyc=%d ret=%d) vs plain (cyc=%d ret=%d)",
-						con.Cycles, con.Instret, coff.Cycles, coff.Instret)
+				tier := bootAndRunCfgd(t, mode, wl.w, e)
+				oracle := bootAndRunCfgd(t, mode, wl.w, vcpu.EngineOracle)
+				compareVMs(t, e.String(), oracle, tier, true)
+				checkOracle(t, "oracle", oracle)
+				if check != nil {
+					check(t, wl.name, tier)
 				}
-				if con.X != coff.X || con.PC != coff.PC || con.Priv != coff.Priv {
-					t.Error("register state diverged")
-				}
-				if con.CSR != coff.CSR {
-					t.Errorf("CSR state diverged: %+v vs %+v", con.CSR, coff.CSR)
-				}
-				if con.Stats != coff.Stats {
-					t.Errorf("exit stats diverged: %+v vs %+v", con.Stats, coff.Stats)
-				}
-				if on.Stats != off.Stats {
-					t.Errorf("VMM stats diverged: %+v vs %+v", on.Stats, off.Stats)
-				}
-				if on.MMUCtx.Stats != off.MMUCtx.Stats {
-					t.Errorf("MMU stats diverged: %+v vs %+v", on.MMUCtx.Stats, off.MMUCtx.Stats)
-				}
-				if on.MMUCtx.TLB.Stats != off.MMUCtx.TLB.Stats {
-					t.Errorf("TLB stats diverged: %+v vs %+v", on.MMUCtx.TLB.Stats, off.MMUCtx.TLB.Stats)
-				}
-				if on.Output() != off.Output() {
-					t.Errorf("UART output diverged: %q vs %q", on.Output(), off.Output())
-				}
-				if on.Mem.DirtySets != off.Mem.DirtySets || on.Mem.Present() != off.Mem.Present() {
-					t.Error("memory population diverged")
-				}
-				for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
-					if on.Result(slot) != off.Result(slot) {
-						t.Errorf("result slot %d diverged: %d vs %d", slot, on.Result(slot), off.Result(slot))
-					}
-				}
-				// The cached run should actually have used the cache.
-				if con.ICache == nil || con.ICache.Stats.Hits == 0 {
-					t.Error("cached run never hit the decoded cache")
-				}
-				if coff.ICache != nil {
-					t.Error("NoICache run has a cache attached")
-				}
-
-				// Full guest-RAM image comparison.
-				bufOn := make([]byte, isa.PageSize)
-				bufOff := make([]byte, isa.PageSize)
-				for gfn := uint64(0); gfn < on.Mem.Pages(); gfn++ {
-					on.Mem.ReadRaw(gfn, bufOn)
-					off.Mem.ReadRaw(gfn, bufOff)
-					for i := range bufOn {
-						if bufOn[i] != bufOff[i] {
-							t.Fatalf("guest RAM diverged at gfn %d byte %d", gfn, i)
-						}
-					}
+				if tierLive(tier, e) {
+					live++
 				}
 			})
 		}
 	}
+	return live
 }
 
-// bootAndRunCfgd runs a workload with the decoded-instruction cache toggled.
-func bootAndRunCfgd(t *testing.T, mode core.Mode, w Workload, noICache bool) *core.VM {
+// TestDifferentialICacheInvisible proves the cached tier (decoded-
+// instruction cache, threaded dispatch, load/store and span memos) against
+// the oracle on the mode × workload matrix; every run must hit the cache.
+func TestDifferentialICacheInvisible(t *testing.T) {
+	if live := proveTierMatrix(t, vcpu.EngineCached, tierWorkloads(), nil); live != len(allModes)*len(tierWorkloads()) {
+		t.Errorf("the decoded cache was live in %d of %d runs", live, len(allModes)*len(tierWorkloads()))
+	}
+}
+
+// bootAndRunCfgd runs a workload to a clean halt at tier e.
+func bootAndRunCfgd(t *testing.T, mode core.Mode, w Workload, e vcpu.Engine) *core.VM {
 	t.Helper()
-	vm := bootVMCfg(t, mode, w, func(c *core.Config) { c.NoICache = noICache })
+	vm := bootVMCfg(t, mode, w, withEngine(e))
 	state := vm.RunToHalt(runBudget)
 	if state != core.StateHalted {
-		t.Fatalf("[%v icache=%v] final state %v (err=%v, pc=%#x)", mode, !noICache, state, vm.Err, vm.CPU.PC)
+		t.Fatalf("[%v %v] final state %v (err=%v, pc=%#x)", mode, e, state, vm.Err, vm.CPU.PC)
 	}
 	if vm.HaltCode != 0 {
-		t.Fatalf("[%v icache=%v] guest panicked: halt=%#x", mode, !noICache, vm.HaltCode)
+		t.Fatalf("[%v %v] guest panicked: halt=%#x", mode, e, vm.HaltCode)
 	}
 	return vm
 }

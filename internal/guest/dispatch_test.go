@@ -1,122 +1,25 @@
 package guest
 
 import (
-	"fmt"
 	"testing"
 
-	"govisor/internal/core"
-	"govisor/internal/gabi"
-	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
-// TestDifferentialThreadedDispatchInvisible is the transparency proof for
-// the threaded dispatch engine, the successor to the icache (PR 1) and
-// superblock (PR 3) proofs: for every virtualization mode and differential
-// workload, a run on the decode-time-resolved executor table must be
-// indistinguishable from a run pinned to the original dispatch switch —
-// cycles, instret, registers, CSRs, UART output, guest RAM, and every
-// VMM/MMU/TLB statistic. The icache and superblocks stay on in both arms,
-// so the comparison isolates dispatch (including the block-specialized ALU
-// path); threaded dispatch may only change host time.
+// TestDifferentialThreadedDispatchInvisible proves the chained tier against
+// the oracle on the mode × workload matrix: block entries through recorded
+// chain links and cross-page continuation, on top of the threaded executors
+// whose results the oracle's dispatch switch must reproduce. At least one
+// run per mode must chain.
 func TestDifferentialThreadedDispatchInvisible(t *testing.T) {
-	workloads := []struct {
-		name string
-		w    Workload
-	}{
-		{"compute-hot", Compute(300, 50)},  // straight-line ALU runs, CSR terminators
-		{"memtouch", MemTouch(4, 300, 40)}, // data TLB churn under block memory ops
-		{"ptchurn", PTChurn(2, false)},     // SFENCE flushes invalidate fetch/data memos
-		{"syscall", Syscall(60)},           // privilege flips through ECALL/SRET executors
-		{"csr", CSRLoop(80)},               // CSR executors exit every few instructions
-		{"idle", Idle(3, 50_000)},          // WFI executor, STIMECMP latches, re-entry
-	}
-	for _, mode := range allModes {
-		for _, wl := range workloads {
-			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
-				on := bootAndRunTD(t, mode, wl.w, false)
-				off := bootAndRunTD(t, mode, wl.w, true)
-
-				con, coff := on.CPU, off.CPU
-				if con.Cycles != coff.Cycles || con.Instret != coff.Instret {
-					t.Errorf("time diverged: threaded (cyc=%d ret=%d) vs switch (cyc=%d ret=%d)",
-						con.Cycles, con.Instret, coff.Cycles, coff.Instret)
-				}
-				if con.X != coff.X || con.PC != coff.PC || con.Priv != coff.Priv {
-					t.Error("register state diverged")
-				}
-				if con.CSR != coff.CSR {
-					t.Errorf("CSR state diverged: %+v vs %+v", con.CSR, coff.CSR)
-				}
-				if con.Stats != coff.Stats {
-					t.Errorf("exit stats diverged: %+v vs %+v", con.Stats, coff.Stats)
-				}
-				if on.Stats != off.Stats {
-					t.Errorf("VMM stats diverged: %+v vs %+v", on.Stats, off.Stats)
-				}
-				if on.MMUCtx.Stats != off.MMUCtx.Stats {
-					t.Errorf("MMU stats diverged: %+v vs %+v", on.MMUCtx.Stats, off.MMUCtx.Stats)
-				}
-				if on.MMUCtx.TLB.Stats != off.MMUCtx.TLB.Stats {
-					t.Errorf("TLB stats diverged: %+v vs %+v", on.MMUCtx.TLB.Stats, off.MMUCtx.TLB.Stats)
-				}
-				if on.Output() != off.Output() {
-					t.Errorf("UART output diverged: %q vs %q", on.Output(), off.Output())
-				}
-				if on.Mem.DirtySets != off.Mem.DirtySets || on.Mem.Present() != off.Mem.Present() {
-					t.Error("memory population diverged")
-				}
-				for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
-					if on.Result(slot) != off.Result(slot) {
-						t.Errorf("result slot %d diverged: %d vs %d", slot, on.Result(slot), off.Result(slot))
-					}
-				}
-				if ramHash(on) != ramHash(off) {
-					t.Error("guest RAM image diverged")
-				}
-			})
-		}
+	if live := proveTierMatrix(t, vcpu.EngineChained, tierWorkloads(), nil); live < len(allModes) {
+		t.Errorf("block chaining was live in only %d runs", live)
 	}
 }
 
-// bootAndRunTD runs a workload with threaded dispatch toggled (icache and
-// superblocks stay on in both arms so the comparison isolates dispatch).
-func bootAndRunTD(t *testing.T, mode core.Mode, w Workload, noThreaded bool) *core.VM {
-	t.Helper()
-	vm := bootVMCfg(t, mode, w, func(c *core.Config) { c.NoThreadedDispatch = noThreaded })
-	state := vm.RunToHalt(runBudget)
-	if state != core.StateHalted {
-		t.Fatalf("[%v threaded=%v] final state %v (err=%v, pc=%#x)", mode, !noThreaded, state, vm.Err, vm.CPU.PC)
-	}
-	if vm.HaltCode != 0 {
-		t.Fatalf("[%v threaded=%v] guest panicked: halt=%#x", mode, !noThreaded, vm.HaltCode)
-	}
-	return vm
-}
-
-// TestDifferentialThreadedDispatchParallel extends the dispatch proof to the
-// parallel engine: a mixed-mode fleet under RunParallel must be byte-
-// identical with threaded dispatch on or off at every worker count 1..4 —
-// per-VM cycles, instret, registers, CSRs, UART, RAM hashes, VMM/MMU/TLB
-// stats, exit counters, host clock and pool occupancy. Epoch-lease quantum
-// slicing must land on the same instruction under both dispatch engines.
+// TestDifferentialThreadedDispatchParallel proves the cached tier — the
+// tier that introduces threaded dispatch — under RunParallel on the
+// consolidation fleet.
 func TestDifferentialThreadedDispatchParallel(t *testing.T) {
-	spec := consolidationFleet()
-	ref := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() },
-		func(c *core.Config) { c.NoThreadedDispatch = true })
-	runFleetParallel(t, ref, 1)
-
-	for workers := 1; workers <= 4; workers++ {
-		h := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() }, nil)
-		runFleetParallel(t, h, workers)
-		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
-		}
-		if h.Pool.InUse() != ref.Pool.InUse() {
-			t.Errorf("w=%d: pool occupancy %d != %d", workers, h.Pool.InUse(), ref.Pool.InUse())
-		}
-		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("dispatch w=%d vm=%s", workers, h.VMs[i].Name),
-				ref.VMs[i], h.VMs[i], true)
-		}
-	}
+	proveTierFleet(t, vcpu.EngineCached, consolidationBuilder(t))
 }

@@ -183,8 +183,12 @@ func compareVMs(t *testing.T, label string, a, b *core.VM, full bool) {
 		if ca.Stats != cb.Stats {
 			t.Errorf("%s: exit stats diverged: %+v vs %+v", label, ca.Stats, cb.Stats)
 		}
-		if a.Mem.DirtySets != b.Mem.DirtySets || a.Mem.Present() != b.Mem.Present() {
-			t.Errorf("%s: memory population diverged", label)
+		if a.Mem.DirtySets != b.Mem.DirtySets || a.Mem.COWBreaks != b.Mem.COWBreaks ||
+			a.Mem.DemandFills != b.Mem.DemandFills || a.Mem.Present() != b.Mem.Present() {
+			t.Errorf("%s: memory population/dirty accounting diverged", label)
+		}
+		if sa, sb := a.MMUCtx.Shadow, b.MMUCtx.Shadow; (sa == nil) != (sb == nil) || sa != nil && sa.Stats != sb.Stats {
+			t.Errorf("%s: shadow engine stats diverged", label)
 		}
 	}
 }

@@ -25,7 +25,7 @@ const (
 	// source and a destination buffer within a page each iteration.
 	StreamCopy
 	// StreamStore is store-dense code: an unrolled run of stores walking
-	// two destination pages, the M5 write-memo target shape (every retired
+	// two destination pages, the write memo's target shape (every retired
 	// op pays the store-resolution cost).
 	StreamStore
 	// StreamMixed interleaves loads, ALU ops and stores in a fixed 1:1:2

@@ -5,140 +5,67 @@ import (
 	"testing"
 
 	"govisor/internal/core"
-	"govisor/internal/gabi"
 	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
-// TestDifferentialSuperblockInvisible is the transparency proof for the
-// superblock execution engine, the successor to PR 1's icache proof: for
-// every virtualization mode and differential workload, a run with superblock
-// dispatch must be indistinguishable from a run pinned to the
-// per-instruction path — cycles, instret, registers, CSRs, UART output,
-// guest RAM, and every VMM/MMU/TLB statistic. Event boundaries (quantum
-// expiry, STIMECMP latches, interrupt windows) must land on exactly the same
+// TestDifferentialSuperblockInvisible proves the blocks tier against the
+// oracle on the mode × workload matrix. Event boundaries (quantum expiry,
+// STIMECMP latches, interrupt windows) must land on exactly the same
 // instruction, which the idle/syscall/csr workloads exercise through timer
-// wakeups and privilege flips. Both serial execution (RunToHalt over
-// CPU.Run) and the parallel engine (RunParallel at workers 1..4, below) are
-// covered; blocks may only change host time.
+// wakeups and privilege flips; every run must dispatch superblocks.
 func TestDifferentialSuperblockInvisible(t *testing.T) {
-	workloads := []struct {
-		name string
-		w    Workload
-	}{
-		{"compute-hot", Compute(300, 50)},  // straight-line ALU runs, CSR terminators
-		{"memtouch", MemTouch(4, 300, 40)}, // data TLB churn under block memory ops
-		{"ptchurn", PTChurn(2, false)},     // SFENCE flushes invalidate fetch/data memos
-		{"syscall", Syscall(60)},           // privilege flips end blocks exactly
-		{"csr", CSRLoop(80)},               // CSR exits every few instructions
-		{"idle", Idle(3, 50_000)},          // STIMECMP latches near block horizons
-	}
-	for _, mode := range allModes {
-		for _, wl := range workloads {
-			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
-				on := bootAndRunSB(t, mode, wl.w, false)
-				off := bootAndRunSB(t, mode, wl.w, true)
-
-				con, coff := on.CPU, off.CPU
-				if con.Cycles != coff.Cycles || con.Instret != coff.Instret {
-					t.Errorf("time diverged: blocks (cyc=%d ret=%d) vs plain (cyc=%d ret=%d)",
-						con.Cycles, con.Instret, coff.Cycles, coff.Instret)
-				}
-				if con.X != coff.X || con.PC != coff.PC || con.Priv != coff.Priv {
-					t.Error("register state diverged")
-				}
-				if con.CSR != coff.CSR {
-					t.Errorf("CSR state diverged: %+v vs %+v", con.CSR, coff.CSR)
-				}
-				if con.Stats != coff.Stats {
-					t.Errorf("exit stats diverged: %+v vs %+v", con.Stats, coff.Stats)
-				}
-				if on.Stats != off.Stats {
-					t.Errorf("VMM stats diverged: %+v vs %+v", on.Stats, off.Stats)
-				}
-				if on.MMUCtx.Stats != off.MMUCtx.Stats {
-					t.Errorf("MMU stats diverged: %+v vs %+v", on.MMUCtx.Stats, off.MMUCtx.Stats)
-				}
-				if on.MMUCtx.TLB.Stats != off.MMUCtx.TLB.Stats {
-					t.Errorf("TLB stats diverged: %+v vs %+v", on.MMUCtx.TLB.Stats, off.MMUCtx.TLB.Stats)
-				}
-				if on.Output() != off.Output() {
-					t.Errorf("UART output diverged: %q vs %q", on.Output(), off.Output())
-				}
-				if on.Mem.DirtySets != off.Mem.DirtySets || on.Mem.Present() != off.Mem.Present() {
-					t.Error("memory population diverged")
-				}
-				for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
-					if on.Result(slot) != off.Result(slot) {
-						t.Errorf("result slot %d diverged: %d vs %d", slot, on.Result(slot), off.Result(slot))
-					}
-				}
-				if ramHash(on) != ramHash(off) {
-					t.Error("guest RAM image diverged")
-				}
-			})
-		}
+	if live := proveTierMatrix(t, vcpu.EngineBlocks, tierWorkloads(), nil); live != len(allModes)*len(tierWorkloads()) {
+		t.Errorf("superblocks dispatched in %d of %d runs", live, len(allModes)*len(tierWorkloads()))
 	}
 }
 
-// bootAndRunSB runs a workload with superblock dispatch toggled (the icache
-// stays on in both arms so the comparison isolates block dispatch).
-func bootAndRunSB(t *testing.T, mode core.Mode, w Workload, noBlocks bool) *core.VM {
+// proveTierFleet extends a tier's proof to the parallel engine: a fleet
+// built by build at tier e and run under RunParallel must be byte-identical
+// to the oracle fleet run on one worker, at every worker count 1..4 — per-VM
+// guest state and statistics, host clock and pool occupancy. Epoch-lease
+// quantum slicing must land on the same instruction under every tier. At
+// least one VM per worker count must show the tier's own layer live.
+func proveTierFleet(t *testing.T, e vcpu.Engine, build func(tweak func(*core.Config)) *core.Host) {
 	t.Helper()
-	vm := bootVMCfg(t, mode, w, func(c *core.Config) { c.NoSuperblocks = noBlocks })
-	state := vm.RunToHalt(runBudget)
-	if state != core.StateHalted {
-		t.Fatalf("[%v blocks=%v] final state %v (err=%v, pc=%#x)", mode, !noBlocks, state, vm.Err, vm.CPU.PC)
-	}
-	if vm.HaltCode != 0 {
-		t.Fatalf("[%v blocks=%v] guest panicked: halt=%#x", mode, !noBlocks, vm.HaltCode)
-	}
-	return vm
-}
-
-// TestDifferentialSuperblockParallel extends the superblock proof to the
-// parallel engine: a mixed-mode fleet run under RunParallel must be byte-
-// identical with blocks on or off at every worker count 1..4 — per-VM
-// cycles, instret, registers, CSRs, UART, RAM hashes, VMM/MMU/TLB stats,
-// exit counters, host clock and pool occupancy. Quantum slicing is the
-// sensitive part: blocks must fall back at exactly the same epoch-lease
-// deadlines the per-instruction path observes.
-func TestDifferentialSuperblockParallel(t *testing.T) {
-	spec := consolidationFleet()
-	ref := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() },
-		func(c *core.Config) { c.NoSuperblocks = true })
+	ref := build(withEngine(vcpu.EngineOracle))
 	runFleetParallel(t, ref, 1)
+	for i, vm := range ref.VMs {
+		checkOracle(t, fmt.Sprintf("oracle vm=%d", i), vm)
+	}
 
 	for workers := 1; workers <= 4; workers++ {
-		h := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() }, nil)
+		h := build(withEngine(e))
 		runFleetParallel(t, h, workers)
 		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
+			t.Errorf("%v w=%d: host clock %d != %d", e, workers, h.Now, ref.Now)
 		}
 		if h.Pool.InUse() != ref.Pool.InUse() {
-			t.Errorf("w=%d: pool occupancy %d != %d", workers, h.Pool.InUse(), ref.Pool.InUse())
+			t.Errorf("%v w=%d: pool occupancy %d != %d", e, workers, h.Pool.InUse(), ref.Pool.InUse())
 		}
+		live := false
 		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("blocks w=%d vm=%s", workers, h.VMs[i].Name),
+			compareVMs(t, fmt.Sprintf("%v w=%d vm=%s", e, workers, h.VMs[i].Name),
 				ref.VMs[i], h.VMs[i], true)
+			live = live || tierLive(h.VMs[i], e)
+		}
+		if !live {
+			t.Errorf("%v w=%d: no VM exercised the tier's layer", e, workers)
 		}
 	}
+}
 
-	// The blocked runs must actually have used superblock dispatch — a
-	// straight-line-free fleet would vacuously pass. ICache hit counts are
-	// host-side, so differing between arms is fine; zero block activity is
-	// not. (Block dispatch replaces per-instruction lookups, so the blocked
-	// arm must do strictly fewer lookups than instructions retired.)
-	h := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() }, nil)
-	runFleetParallel(t, h, 1)
-	for _, vm := range h.VMs {
-		ic := vm.CPU.ICache
-		if ic == nil {
-			t.Fatalf("%s: no icache attached", vm.Name)
-		}
-		lookups := ic.Stats.Hits + ic.Stats.Misses + ic.Stats.Invalidations
-		if lookups >= vm.CPU.Instret {
-			t.Errorf("%s: %d icache lookups for %d retired instructions — superblocks never dispatched",
-				vm.Name, lookups, vm.CPU.Instret)
-		}
+// consolidationBuilder builds the mixed-mode consolidation fleet under the
+// credit scheduler.
+func consolidationBuilder(t *testing.T) func(tweak func(*core.Config)) *core.Host {
+	return func(tweak func(*core.Config)) *core.Host {
+		return buildFleetCfg(t, consolidationFleet(), func() core.Scheduler { return sched.NewCredit() }, tweak)
 	}
+}
+
+// TestDifferentialSuperblockParallel proves the blocks tier under
+// RunParallel on the mixed-mode consolidation fleet: blocks must fall back
+// at exactly the epoch-lease deadlines the oracle observes.
+func TestDifferentialSuperblockParallel(t *testing.T) {
+	proveTierFleet(t, vcpu.EngineBlocks, consolidationBuilder(t))
 }

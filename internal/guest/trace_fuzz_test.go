@@ -9,6 +9,7 @@ import (
 	"govisor/internal/gabi"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/vcpu"
 )
 
 // fuzzCursor doles out fuzz bytes, falling back to a fixed rotation when the
@@ -126,9 +127,9 @@ func buildTraceFuzzImg(data []byte) ([]byte, error) {
 	return b.Finish()
 }
 
-// FuzzTraceFormation drives fuzz-decoded hot-loop guests through the full
-// fast-path stack and a NoTraces oracle, asserting byte-identical final state
-// — the trace engine's transparency proof extended to adversarial
+// FuzzTraceFormation runs each fuzz-decoded hot-loop guest at every engine
+// tier and on the oracle, asserting every tier byte-identical to the oracle
+// — the tier suite's transparency proof extended to adversarial
 // chain/SMC/SFENCE interleavings.
 func FuzzTraceFormation(f *testing.F) {
 	// Seeds: a calm hot loop (pure formation), SMC mid-run, dense fences,
@@ -147,8 +148,8 @@ func FuzzTraceFormation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded image failed to assemble: %v", err)
 		}
-		boot := func(noTraces bool) *core.VM {
-			cfg := core.Config{Name: "trace-fuzz", Mode: core.ModeHW, MemBytes: testRAM, NoTraces: noTraces}
+		proveTiers(t, func(e vcpu.Engine) *core.VM {
+			cfg := core.Config{Name: "trace-fuzz", Mode: core.ModeHW, MemBytes: testRAM, Engine: e}
 			vm, err := core.NewVM(mem.NewPool(2*testRAM>>isa.PageShift), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -157,15 +158,12 @@ func FuzzTraceFormation(f *testing.F) {
 				t.Fatal(err)
 			}
 			if st := vm.RunToHalt(runBudget); st != core.StateHalted {
-				t.Fatalf("noTraces=%v: final state %v (err=%v, pc=%#x)", noTraces, st, vm.Err, vm.CPU.PC)
+				t.Fatalf("%v: final state %v (err=%v, pc=%#x)", e, st, vm.Err, vm.CPU.PC)
 			}
 			if vm.HaltCode != 0 {
-				t.Fatalf("noTraces=%v: guest panicked: halt=%#x", noTraces, vm.HaltCode)
+				t.Fatalf("%v: guest panicked: halt=%#x", e, vm.HaltCode)
 			}
 			return vm
-		}
-		base := boot(false)
-		oracle := boot(true)
-		compareVMs(t, "trace-fuzz-oracle", oracle, base, true)
+		})
 	})
 }

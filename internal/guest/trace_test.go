@@ -10,37 +10,14 @@ import (
 	"govisor/internal/gabi"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
-	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
 // Hot-trace torture: randomized cross-page guests whose loops run hot enough
 // to promote chains into traces, then hit every invalidation rule mid-flight —
 // SMC into a constituent page, periodic SFENCE.VMA between formation and
-// entry, and branch divergence inside a formed trace. The differential matrix
-// proves the trace layer (and its composition with every other fast path)
-// architecturally invisible on these streams.
-
-// traceArms: the trace layer alone, each layer it rides on, and everything
-// off. NoBlockChain implies NoTraces (a trace is made of chain links), so the
-// no-chain arm doubles as a composition check.
-var traceArms = []struct {
-	name  string
-	tweak func(*core.Config)
-}{
-	{"no-traces", func(c *core.Config) { c.NoTraces = true }},
-	{"no-chain", func(c *core.Config) { c.NoBlockChain = true }},
-	{"no-superblocks", func(c *core.Config) { c.NoSuperblocks = true }},
-	{"no-threaded", func(c *core.Config) { c.NoThreadedDispatch = true }},
-	{"no-writememo", func(c *core.Config) { c.NoWriteMemo = true }},
-	{"no-traces-no-threaded", func(c *core.Config) { c.NoTraces = true; c.NoThreadedDispatch = true }},
-	{"interpreter", func(c *core.Config) {
-		c.NoTraces = true
-		c.NoBlockChain = true
-		c.NoSuperblocks = true
-		c.NoThreadedDispatch = true
-		c.NoWriteMemo = true
-	}},
-}
+// entry, and branch divergence inside a formed trace. The suites below prove
+// every engine tier byte-identical to the oracle on these streams.
 
 // buildTraceTorture assembles one randomized hot-loop guest. Compared to the
 // chain torture, the loop body is calmer (fewer, longer segments, an SFENCE
@@ -171,26 +148,21 @@ func bootTraceTorture(t *testing.T, mode core.Mode, img []byte, tweak func(*core
 	return vm
 }
 
-// TestDifferentialTraceInvisible is the serial transparency proof for hot
-// traces: on randomized hot-loop guests with SMC and flush churn, the full
-// fast-path stack must be indistinguishable from every arm combination —
-// cycles, instret, registers, CSRs, UART, result slots, guest RAM, and every
-// VMM/MMU/TLB statistic.
+// TestDifferentialTraceInvisible is the serial proof on randomized hot-loop
+// guests with SMC and flush churn: every tier must be indistinguishable
+// from the oracle, and every tier's layer — traces included — must run.
 func TestDifferentialTraceInvisible(t *testing.T) {
 	for _, seed := range []int64{3, 17, 41} {
 		img := buildTraceTorture(t, seed)
 		for _, mode := range []core.Mode{core.ModeNative, core.ModeHW} {
 			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
-				base := bootTraceTorture(t, mode, img, nil)
-				// The proof has teeth only if the baseline actually promoted
-				// and ran traces.
-				ic := base.CPU.ICache.Stats
-				if ic.TraceFormations == 0 || ic.TraceEntries == 0 {
-					t.Fatalf("baseline never ran a trace: %+v", ic)
-				}
-				for _, arm := range traceArms {
-					ref := bootTraceTorture(t, mode, img, arm.tweak)
-					compareVMs(t, arm.name, ref, base, true)
+				live := proveTiers(t, func(e vcpu.Engine) *core.VM {
+					return bootTraceTorture(t, mode, img, withEngine(e))
+				})
+				for _, e := range engineTiers {
+					if !live[e] {
+						t.Errorf("%v: the tier's layer never ran", e)
+					}
 				}
 			})
 		}
@@ -198,9 +170,9 @@ func TestDifferentialTraceInvisible(t *testing.T) {
 }
 
 // TestDifferentialTraceParallel extends the proof to the parallel engine: a
-// fleet of trace-torture guests (distinct seeds) run under RunParallel must
-// be byte-identical with traces on or off at every worker count 1..4,
-// including host clock and pool occupancy.
+// fleet of trace-torture guests (distinct seeds) at the traced tier under
+// RunParallel must be byte-identical to the oracle fleet at every worker
+// count 1..4, including host clock and pool occupancy.
 func TestDifferentialTraceParallel(t *testing.T) {
 	imgs := [][]byte{
 		buildTraceTorture(t, 111),
@@ -208,47 +180,7 @@ func TestDifferentialTraceParallel(t *testing.T) {
 		buildTraceTorture(t, 333),
 		buildTraceTorture(t, 444),
 	}
-	build := func(tweak func(*core.Config)) *core.Host {
-		h := core.NewHost(16<<20>>isa.PageShift, 2, sched.NewCredit())
-		for i, img := range imgs {
-			cfg := core.Config{Name: fmt.Sprintf("trace%d", i), Mode: core.ModeHW, MemBytes: testRAM}
-			if tweak != nil {
-				tweak(&cfg)
-			}
-			vm, err := h.CreateVM(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vm.Boot(img); err != nil {
-				t.Fatal(err)
-			}
-			h.AddToScheduler(i, 256, 0)
-		}
-		return h
-	}
-
-	ref := build(func(c *core.Config) { c.NoTraces = true })
-	runFleetParallel(t, ref, 1)
-
-	for workers := 1; workers <= 4; workers++ {
-		h := build(nil)
-		runFleetParallel(t, h, workers)
-		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
-		}
-		if h.Pool.InUse() != ref.Pool.InUse() {
-			t.Errorf("w=%d: pool occupancy %d != %d", workers, h.Pool.InUse(), ref.Pool.InUse())
-		}
-		traced := false
-		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("trace w=%d vm=%s", workers, h.VMs[i].Name),
-				ref.VMs[i], h.VMs[i], true)
-			if st := h.VMs[i].CPU.ICache.Stats; st.TraceFormations > 0 && st.TraceEntries > 0 {
-				traced = true
-			}
-		}
-		if !traced {
-			t.Errorf("w=%d: no VM ever ran a trace", workers)
-		}
-	}
+	proveTierFleet(t, vcpu.EngineTraced, func(tweak func(*core.Config)) *core.Host {
+		return buildImageFleet(t, "trace", imgs, tweak)
+	})
 }

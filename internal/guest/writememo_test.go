@@ -1,141 +1,37 @@
 package guest
 
 import (
-	"fmt"
 	"testing"
 
 	"govisor/internal/core"
-	"govisor/internal/gabi"
-	"govisor/internal/sched"
+	"govisor/internal/vcpu"
 )
 
-// TestDifferentialWriteMemoInvisible is the transparency proof for the
-// write-path memoization engine, the successor to the icache (PR 1),
-// superblock (PR 3) and dispatch (PR 4) proofs: for every virtualization
-// mode and differential workload, a run on the write memo stack
-// (mmu.TranslateWrite + mem.WriteUintFast with coalesced version bumps) must
-// be indistinguishable from a run pinned to the unmemoized store path —
-// cycles, instret, registers, CSRs, UART output, guest RAM, dirty
-// accounting, and every VMM/MMU/TLB statistic. The icache, superblocks and
-// threaded dispatch stay on in both arms, so the comparison isolates the
-// write memo; it may only change host time.
+// TestDifferentialWriteMemoInvisible proves the traced tier — the full
+// stack — against the oracle on the mode × workload matrix plus a
+// page-local store loop, the write memo's target shape. The write memo runs
+// in every tier above the oracle, so besides byte-identical state
+// (including COW and demand-fill accounting) every run must fill the memo,
+// and the store loop must hit it. At least one run per mode must enter a
+// trace.
 func TestDifferentialWriteMemoInvisible(t *testing.T) {
-	workloads := []struct {
-		name     string
-		w        Workload
-		wantHits bool // the workload reliably revisits store pages, so a
-		// memo that never hits would make the proof vacuous
-	}{
-		{"compute-hot", Compute(300, 50), false},  // stack stores between ALU runs
-		{"memtouch", MemTouch(4, 300, 40), false}, // strided working set: slot-collision stress
-		{"store-hot", MemTouch(6, 4, 100), true},  // page-local write loop: the memo's target shape
-		{"ptchurn", PTChurn(2, false), false},     // stores into tracked PT pages (wprot faults)
-		{"syscall", Syscall(60), false},           // trap frames stored across privilege flips
-		{"csr", CSRLoop(80), false},               // memo survival across CSR exits
-		{"idle", Idle(3, 50_000), false},          // timer wakeups between store bursts
-	}
-	for _, mode := range allModes {
-		for _, wl := range workloads {
-			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
-				on := bootAndRunWM(t, mode, wl.w, false)
-				off := bootAndRunWM(t, mode, wl.w, true)
-
-				con, coff := on.CPU, off.CPU
-				if con.Cycles != coff.Cycles || con.Instret != coff.Instret {
-					t.Errorf("time diverged: memo (cyc=%d ret=%d) vs plain (cyc=%d ret=%d)",
-						con.Cycles, con.Instret, coff.Cycles, coff.Instret)
-				}
-				if con.X != coff.X || con.PC != coff.PC || con.Priv != coff.Priv {
-					t.Error("register state diverged")
-				}
-				if con.CSR != coff.CSR {
-					t.Errorf("CSR state diverged: %+v vs %+v", con.CSR, coff.CSR)
-				}
-				if con.Stats != coff.Stats {
-					t.Errorf("exit stats diverged: %+v vs %+v", con.Stats, coff.Stats)
-				}
-				if on.Stats != off.Stats {
-					t.Errorf("VMM stats diverged: %+v vs %+v", on.Stats, off.Stats)
-				}
-				if on.MMUCtx.Stats != off.MMUCtx.Stats {
-					t.Errorf("MMU stats diverged: %+v vs %+v", on.MMUCtx.Stats, off.MMUCtx.Stats)
-				}
-				if on.MMUCtx.TLB.Stats != off.MMUCtx.TLB.Stats {
-					t.Errorf("TLB stats diverged: %+v vs %+v", on.MMUCtx.TLB.Stats, off.MMUCtx.TLB.Stats)
-				}
-				if on.Output() != off.Output() {
-					t.Errorf("UART output diverged: %q vs %q", on.Output(), off.Output())
-				}
-				if on.Mem.DirtySets != off.Mem.DirtySets || on.Mem.COWBreaks != off.Mem.COWBreaks ||
-					on.Mem.DemandFills != off.Mem.DemandFills || on.Mem.Present() != off.Mem.Present() {
-					t.Error("memory population/dirty accounting diverged")
-				}
-				for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
-					if on.Result(slot) != off.Result(slot) {
-						t.Errorf("result slot %d diverged: %d vs %d", slot, on.Result(slot), off.Result(slot))
-					}
-				}
-				if ramHash(on) != ramHash(off) {
-					t.Error("guest RAM image diverged")
-				}
-				// Vacuity guards: the memo arm must actually have exercised
-				// the memo (fills always; hits on page-local store loops),
-				// and the reference arm must never have touched it.
-				if on.Mem.WMemoFills == 0 {
-					t.Error("memo run never filled the write memo")
-				}
-				if wl.wantHits && on.Mem.WMemoHits == 0 {
-					t.Error("memo run never hit the write memo")
-				}
-				if off.Mem.WMemoHits != 0 || off.Mem.WMemoFills != 0 {
-					t.Errorf("NoWriteMemo run touched the memo (hits=%d fills=%d)",
-						off.Mem.WMemoHits, off.Mem.WMemoFills)
-				}
-			})
+	workloads := append(tierWorkloads(), namedWorkload{"store-hot", MemTouch(6, 4, 100)})
+	live := proveTierMatrix(t, vcpu.EngineTraced, workloads, func(t *testing.T, workload string, vm *core.VM) {
+		if vm.Mem.WMemoFills == 0 {
+			t.Error("run never filled the write memo")
 		}
+		if workload == "store-hot" && vm.Mem.WMemoHits == 0 {
+			t.Error("page-local store loop never hit the write memo")
+		}
+	})
+	if live < len(allModes) {
+		t.Errorf("traces were live in only %d runs", live)
 	}
 }
 
-// bootAndRunWM runs a workload with the write memo toggled (every other
-// engine stays on in both arms so the comparison isolates the memo).
-func bootAndRunWM(t *testing.T, mode core.Mode, w Workload, noMemo bool) *core.VM {
-	t.Helper()
-	vm := bootVMCfg(t, mode, w, func(c *core.Config) { c.NoWriteMemo = noMemo })
-	state := vm.RunToHalt(runBudget)
-	if state != core.StateHalted {
-		t.Fatalf("[%v memo=%v] final state %v (err=%v, pc=%#x)", mode, !noMemo, state, vm.Err, vm.CPU.PC)
-	}
-	if vm.HaltCode != 0 {
-		t.Fatalf("[%v memo=%v] guest panicked: halt=%#x", mode, !noMemo, vm.HaltCode)
-	}
-	return vm
-}
-
-// TestDifferentialWriteMemoParallel extends the write-memo proof to the
-// parallel engine: a mixed-mode fleet under RunParallel must be byte-
-// identical with the memo on or off at every worker count 1..4 — per-VM
-// cycles, instret, registers, CSRs, UART, RAM hashes, VMM/MMU/TLB stats,
-// exit counters, host clock and pool occupancy. The consolidation fleet's
-// KSM-free COW (clone/dedup) churn and demand fills run against warm memos
-// in every epoch.
+// TestDifferentialWriteMemoParallel proves the traced tier under
+// RunParallel on the consolidation fleet, whose clone/dedup COW churn and
+// demand fills run against warm write memos in every epoch.
 func TestDifferentialWriteMemoParallel(t *testing.T) {
-	spec := consolidationFleet()
-	ref := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() },
-		func(c *core.Config) { c.NoWriteMemo = true })
-	runFleetParallel(t, ref, 1)
-
-	for workers := 1; workers <= 4; workers++ {
-		h := buildFleetCfg(t, spec, func() core.Scheduler { return sched.NewCredit() }, nil)
-		runFleetParallel(t, h, workers)
-		if h.Now != ref.Now {
-			t.Errorf("w=%d: host clock %d != %d", workers, h.Now, ref.Now)
-		}
-		if h.Pool.InUse() != ref.Pool.InUse() {
-			t.Errorf("w=%d: pool occupancy %d != %d", workers, h.Pool.InUse(), ref.Pool.InUse())
-		}
-		for i := range h.VMs {
-			compareVMs(t, fmt.Sprintf("writememo w=%d vm=%s", workers, h.VMs[i].Name),
-				ref.VMs[i], h.VMs[i], true)
-		}
-	}
+	proveTierFleet(t, vcpu.EngineTraced, consolidationBuilder(t))
 }

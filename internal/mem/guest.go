@@ -113,7 +113,7 @@ type GuestPhys struct {
 	// pages shared by ReadSpan, WriteSpan and ReadRaw. Like the write memo
 	// it validates against wepoch, so one epoch bump invalidates every
 	// entry; see span.go for the verdict argument. noSpanDMA selects the
-	// page-by-page reference arm (Config.NoSpanDMA).
+	// page-by-page path the oracle engine tier runs.
 	smemo     [spanSlots]spanEntry
 	noSpanDMA bool
 
@@ -583,8 +583,8 @@ func readUintFrom(data []byte, off uint64, size int) uint64 {
 
 // WriteUint writes a naturally aligned size-byte little-endian value.
 // This is the unmemoized store path: every call resolves the page and bumps
-// its version. Device models, VMM-internal writes and the NoWriteMemo
-// differential arm all use it.
+// its version. Device models, VMM-internal writes and the oracle engine
+// tier's stores all use it.
 func (g *GuestPhys) WriteUint(gpa uint64, size int, v uint64) *Fault {
 	hfn, f := g.resolveWrite(gpa)
 	if f != nil {

@@ -30,14 +30,26 @@ type spanEntry struct {
 	data     []byte
 }
 
-// SetNoSpanDMA selects the reference arm: span resolution falls back to the
-// page-by-page Read/Write paths and the memo is dropped (entries installed
-// while the fast path was live must not serve hits afterwards).
+// SetNoSpanDMA selects the oracle tier's DMA path: span resolution falls
+// back to the page-by-page Read/Write paths and the memo is dropped (entries
+// installed while the fast path was live must not serve hits afterwards).
 func (g *GuestPhys) SetNoSpanDMA(off bool) {
 	g.noSpanDMA = off
 	for i := range g.smemo {
 		g.smemo[i] = spanEntry{gfn: NoFrame}
 	}
+}
+
+// SpanMemoEmpty reports whether the span memo holds no entry. The oracle
+// tier's page-by-page DMA path never installs one, so its memo stays empty
+// for the VM's whole life.
+func (g *GuestPhys) SpanMemoEmpty() bool {
+	for i := range g.smemo {
+		if g.smemo[i].gfn != NoFrame {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadSpan copies len(buf) bytes from gpa, resolving each page at most once

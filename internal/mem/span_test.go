@@ -198,8 +198,9 @@ func TestSpanReadRawMemoized(t *testing.T) {
 }
 
 // TestSpanDifferentialVsNoSpanDMA drives random span/page operations through
-// a fast space and a NoSpanDMA reference space and demands byte-identical
-// RAM, faults and dirty accounting.
+// a fast space and a reference space on the oracle's page-by-page DMA path
+// (SetNoSpanDMA) and demands byte-identical RAM, faults and dirty
+// accounting.
 func TestSpanDifferentialVsNoSpanDMA(t *testing.T) {
 	const pages = 8
 	pf := NewPool(pages * 4)

@@ -8,6 +8,7 @@ import (
 	"govisor/internal/guest"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/vcpu"
 )
 
 const (
@@ -126,8 +127,8 @@ func TestPreCopyMemoryIdenticalAtSwitchover(t *testing.T) {
 // "converge" instantly, and the destination would silently lose every
 // post-round store. The test proves the iterative rounds keep observing
 // stores with the memo enabled, and that the whole migration — round page
-// counts, bytes, downtime, destination RAM — is byte-identical to the
-// memo-off reference arm.
+// counts, bytes, downtime, destination RAM — is byte-identical to a source
+// on the oracle tier, which has no write memo.
 func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
 	run := func(noMemo bool) (Report, *core.VM) {
 		kernel, err := guest.BuildKernel()
@@ -135,7 +136,10 @@ func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := mem.NewPool(frames)
-		cfg := core.Config{Name: "src", Mode: core.ModeHW, MemBytes: vmRAM, NoWriteMemo: noMemo}
+		cfg := core.Config{Name: "src", Mode: core.ModeHW, MemBytes: vmRAM}
+		if noMemo {
+			cfg.Engine = vcpu.EngineOracle // no write memo
+		}
 		src, err := core.NewVM(pool, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -47,58 +47,14 @@ type CPU struct {
 	Cycles  uint64 // simulated time, 1 cycle = 1 ns
 	Instret uint64
 
-	// ICache, when non-nil, enables the decoded-instruction block cache on
-	// the fetch path. It is architecturally invisible: guest state, cycle
-	// accounting and all simulation statistics are identical with it on or
-	// off; only host-side speed changes.
+	// ICache is the decoded-instruction block cache and the chain/trace
+	// store built on it. New attaches it exactly when the engine tier is
+	// EngineCached or higher; it is nil under EngineOracle.
 	ICache *ICache
 
-	// NoSuperblocks disables superblock dispatch (see superblock.go),
-	// pinning execution to the per-instruction path even when the ICache is
-	// on. Superblocks are architecturally invisible like the ICache they
-	// build on; the switch exists for the differential transparency tests
-	// and for isolating their host-side speedup in benchmarks.
-	NoSuperblocks bool
-
-	// NoThreadedDispatch pins instruction execution to the original
-	// `switch in.Op` interpreter (execute, below) instead of the decode-
-	// time-resolved executor table (dispatch.go). Threaded dispatch is
-	// architecturally invisible like the ICache and superblocks; the switch
-	// arm exists as the differential reference for the transparency tests
-	// and for isolating the dispatch win in benchmarks.
-	NoThreadedDispatch bool
-
-	// NoWriteMemo pins the store path to the unmemoized reference arm:
-	// per-store mmu.TranslateData, explicit RAM/MMIO range checks and
-	// mem.WriteUint with its per-store version bump, instead of the
-	// write-path memo stack (mmu.TranslateWrite + mem.WriteUintFast/Memo).
-	// It also disables the load path's read-memo RAM-verdict fold. The memo
-	// is architecturally invisible like the engines above; this arm exists
-	// as the differential reference for the transparency tests and for
-	// isolating the write-memo win in benchmark M5.
-	NoWriteMemo bool
-
-	// NoBlockChain pins block entry to the unchained reference arm: every
-	// superblock ends at its page boundary and every block entry repeats
-	// the full TranslateFetch + icache map lookup, instead of consuming
-	// recorded chain links (icache.go) that revalidate the memoized
-	// translation via mmu.ChainFetch — replaying its exact bookkeeping —
-	// and let superblocks continue across page boundaries (superblock.go).
-	// Chaining is architecturally invisible like the engines above; this
-	// arm is the differential reference for the transparency tests and
-	// isolates the chaining win in benchmark M6.
-	NoBlockChain bool
-
-	// NoTraces pins execution to the per-dispatch chained-block path: hot
-	// chain links never promote to traces (trace.go) — the multi-block
-	// straight-line runs with one entry check, one admission over the whole
-	// span and batched accounting that let closed loops iterate without
-	// returning to the fetch loop. Traces are architecturally invisible
-	// like the engines above; this arm is the differential reference for
-	// the transparency tests and isolates the trace win in benchmark M8.
-	// Implied by NoBlockChain (core.Config wires the implication): traces
-	// are built from and entered through chain links.
-	NoTraces bool
+	// engine is the execution tier, fixed at New: the one switch that
+	// decides which fast-path layers run.
+	engine Engine
 
 	// pendExit carries the rare Exit out of the threaded executors and the
 	// superblock engine so the per-instruction status stays a small int
@@ -131,9 +87,69 @@ type CPU struct {
 	Stats Stats
 }
 
-// New creates a CPU over the given memory and translation context.
-func New(m *mem.GuestPhys, ctx *mmu.Context) *CPU {
-	return &CPU{Mem: m, MMU: ctx, Costs: DefaultCosts(), codeGfn: mem.NoFrame}
+// Engine is a vCPU execution tier: how much of the host-side fast-path
+// stack runs on top of the oracle interpreter. The tiers are ordered, and
+// each runs every layer of the tiers below it plus its own:
+//
+//	EngineOracle  — the reference semantics: per instruction, a full fetch
+//	                translation, a guest-RAM read, isa.Decode and the
+//	                execute switch (execLoad/execStore, every store through
+//	                the unmemoized mem.WriteUint); guest DMA resolves page by
+//	                page.
+//	EngineCached  — the decoded-instruction cache (icache.go), threaded
+//	                dispatch through decode-time-resolved executors
+//	                (dispatch.go), the memoized load/store bodies
+//	                (loadExec/storeExec over mem's write memo) and the
+//	                span-DMA memo.
+//	EngineBlocks  — superblock dispatch (superblock.go).
+//	EngineChained — block chaining: recorded block→successor links and
+//	                cross-page superblock continuation.
+//	EngineTraced  — hot traces lowered from chain links (trace.go).
+//
+// Every tier is architecturally invisible: cycles, instret, registers, CSRs,
+// RAM, UART and every simulated statistic are byte-identical to the oracle,
+// which the differential suites in internal/guest prove tier by tier. The
+// zero value is the full stack.
+type Engine uint8
+
+// Engine tiers, full stack first so the zero value runs every layer.
+const (
+	EngineTraced Engine = iota
+	EngineChained
+	EngineBlocks
+	EngineCached
+	EngineOracle
+)
+
+// runs reports whether tier e includes layer: a tier runs its own layer and
+// every layer below it.
+func (e Engine) runs(layer Engine) bool { return e <= layer }
+
+// String names the tier.
+func (e Engine) String() string {
+	switch e {
+	case EngineTraced:
+		return "traced"
+	case EngineChained:
+		return "chained"
+	case EngineBlocks:
+		return "blocks"
+	case EngineCached:
+		return "cached"
+	case EngineOracle:
+		return "oracle"
+	}
+	return "engine?"
+}
+
+// New creates a CPU over the given memory and translation context running
+// engine tier e.
+func New(m *mem.GuestPhys, ctx *mmu.Context, e Engine) *CPU {
+	c := &CPU{Mem: m, MMU: ctx, Costs: DefaultCosts(), engine: e, codeGfn: mem.NoFrame}
+	if e.runs(EngineCached) {
+		c.ICache = NewICache()
+	}
+	return c
 }
 
 // Reg returns register r (x0 reads as zero by construction).
@@ -283,11 +299,11 @@ func (c *CPU) Run(budget uint64) Exit {
 			continue
 		}
 
-		// Fetch. With the decoded-instruction cache enabled, fetches that
-		// stay on a predecoded page with an unchanged content version skip
-		// the guest-RAM read and isa.Decode; translation still runs (via the
-		// MMU's exact memoized fetch path) so the TLB's LRU state, the walk
-		// cycle charges and every statistic evolve identically either way.
+		// Fetch. Above the oracle, fetches that stay on a predecoded page
+		// with an unchanged content version skip the guest-RAM read and
+		// isa.Decode; translation still runs (via the MMU's exact memoized
+		// fetch path) so the TLB's LRU state, the walk cycle charges and
+		// every statistic evolve identically either way.
 		if c.PC&3 != 0 {
 			if e, exited := c.guestTrap(isa.CauseInstrMisaligned, c.PC); exited {
 				return e
@@ -296,35 +312,34 @@ func (c *CPU) Run(budget uint64) Exit {
 		}
 		var in isa.Inst
 		var raw uint32
-		var fn execFn
-		if ic := c.ICache; ic != nil {
+		var fn execFn // nil on the oracle: execute's switch runs instead
+		if c.engine.runs(EngineCached) {
+			ic := c.ICache
 			var p *decodedPage
 			var i, gfn, gpa uint64
 			var recSrc *decodedPage
 			var recSlot uint16
 			var hitLink *chainLink
 			if c.chainArmed {
+				// Chain consume (only the chained tiers ever arm a slot): a
+				// link recorded for the slot that just redirected control
+				// proves this fetch's outcome — the observed successor PC
+				// recurs, the target page's content version is unchanged,
+				// and the translation snapshot revalidates (SATP, privilege,
+				// TLB generation) via ChainFetch, which replays exactly the
+				// bookkeeping the real TranslateFetch below would perform —
+				// so the map lookup and full translation are skipped.
 				src, slot := c.chainPage, c.chainSlot
 				c.chainArmed = false
-				if !c.NoBlockChain {
-					// Chain consume: a link recorded for the slot that just
-					// redirected control proves this fetch's outcome — the
-					// observed successor PC recurs, the target page's content
-					// version is unchanged, and the translation snapshot
-					// revalidates (SATP, privilege, TLB generation) via
-					// ChainFetch, which replays exactly the bookkeeping the
-					// real TranslateFetch below would perform — so the map
-					// lookup and full translation are skipped.
-					if l := src.chainAt(slot); l != nil && l.pc == c.PC &&
-						c.Mem.PageVersion(l.gfn) == l.page.ver &&
-						c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
-						p, i, gfn = l.page, uint64(l.tslot), l.gfn
-						hitLink = l
-						ic.noteChainHit(gfn, p)
-					} else {
-						ic.Stats.ChainMisses++
-						recSrc, recSlot = src, slot
-					}
+				if l := src.chainAt(slot); l != nil && l.pc == c.PC &&
+					c.Mem.PageVersion(l.gfn) == l.page.ver &&
+					c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
+					p, i, gfn = l.page, uint64(l.tslot), l.gfn
+					hitLink = l
+					ic.noteChainHit(gfn, p)
+				} else {
+					ic.Stats.ChainMisses++
+					recSrc, recSlot = src, slot
 				}
 			}
 			if p == nil {
@@ -353,8 +368,8 @@ func (c *CPU) Run(budget uint64) Exit {
 				// (quantum, timer latch, interrupt window) can land inside
 				// its cycle span; otherwise fall through to the exact
 				// per-instruction path below.
-				if !c.NoSuperblocks && p.blkLen[i] > 1 {
-					if hitLink != nil && !c.NoTraces {
+				if p.blkLen[i] > 1 && c.engine.runs(EngineBlocks) {
+					if hitLink != nil && c.engine == EngineTraced {
 						// Trace layer (trace.go): a validated chain consume
 						// is the only way in. A link that already carries a
 						// trace dispatches it (one entry check, whole-span
@@ -394,7 +409,7 @@ func (c *CPU) Run(budget uint64) Exit {
 					p.valid[i>>6] |= 1 << (i & 63)
 				}
 				in, raw, fn = p.ins[i], p.raw[i], p.fn[i]
-				if !c.NoBlockChain && isa.IsChainSource(in.Op) {
+				if isa.IsChainSource(in.Op) && c.engine.runs(EngineChained) {
 					// Arm the slot so the post-redirect fetch can consume or
 					// record its chain link. Chain sources never trap and
 					// never exit, so the arm is consumed on the very next
@@ -434,7 +449,6 @@ func (c *CPU) Run(budget uint64) Exit {
 			}
 			raw = uint32(word)
 			in = isa.Decode(raw)
-			fn = execTable.For(in.Op)
 		}
 		if !in.Op.Valid() {
 			if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
@@ -444,10 +458,9 @@ func (c *CPU) Run(budget uint64) Exit {
 		}
 		c.Cycles += c.Costs.Instr
 		c.Instret++
-		if fn == nil || c.NoThreadedDispatch {
-			// Reference arm: the original dispatch switch. (fn is never nil
-			// for a valid opcode — the table is total, see FuzzDecode — but
-			// falling back keeps the nil case safe by construction.)
+		if fn == nil {
+			// The oracle's dispatch switch. (Above the oracle fn is never
+			// nil for a valid opcode — the table is total, see FuzzDecode.)
 			if ex, done := c.execute(in, raw); done {
 				return ex
 			}

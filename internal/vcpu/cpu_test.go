@@ -22,7 +22,7 @@ func newCPU(t *testing.T, img []byte, org uint64) *CPU {
 	if f := g.Write(org, img); f != nil {
 		t.Fatal(f)
 	}
-	c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+	c := New(g, mmu.NewContext(g, mmu.StyleDirect), EngineTraced)
 	c.Priv = PrivS
 	c.PC = org
 	return c
@@ -634,7 +634,7 @@ func TestPagedExecution(t *testing.T) {
 	if f := g.Write(0x1000, img); f != nil {
 		t.Fatal(f)
 	}
-	c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+	c := New(g, mmu.NewContext(g, mmu.StyleDirect), EngineTraced)
 	c.Priv = PrivS
 	c.PC = 0x1000
 	ex := c.Run(1_000_000)
@@ -672,7 +672,7 @@ func TestPageFaultDeliveredToGuest(t *testing.T) {
 	b.Halt(0)
 	img, _ := b.Finish()
 	g.Write(0x1000, img)
-	c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+	c := New(g, mmu.NewContext(g, mmu.StyleDirect), EngineTraced)
 	c.Priv = PrivS
 	c.PC = 0x1000
 	ex := c.Run(1_000_000)

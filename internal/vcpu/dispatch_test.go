@@ -25,51 +25,26 @@ func TestExecTableComplete(t *testing.T) {
 	}
 }
 
-// newCPUPairTD builds two CPUs over identical images differing only in
-// NoThreadedDispatch (icache on in both; superblock dispatch per noSB).
-func newCPUPairTD(t *testing.T, img []byte, noSB bool, tweak func(*CPU)) (threaded, sw *CPU) {
-	t.Helper()
-	build := func(noTD bool) *CPU {
-		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
-		if err := g.PopulateAll(); err != nil {
-			t.Fatal(err)
-		}
-		if f := g.Write(0x1000, img); f != nil {
-			t.Fatal(f)
-		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
-		c.Priv = PrivS
-		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoSuperblocks = noSB
-		c.NoThreadedDispatch = noTD
-		if tweak != nil {
-			tweak(c)
-		}
-		return c
-	}
-	return build(false), build(true)
-}
-
 // TestThreadedDispatchQuantumSweep: quantum expiry must land on exactly the
-// same instruction with threaded dispatch on or off, with superblocks both
-// enabled and pinned off — the same sweep that protects the superblock
-// horizon, re-aimed at the dispatch engine.
+// same instruction on the threaded executors as on the oracle's dispatch
+// switch, with superblocks both running (traced tier) and not (cached tier)
+// — the same sweep that protects the superblock horizon, re-aimed at the
+// dispatch engine.
 func TestThreadedDispatchQuantumSweep(t *testing.T) {
 	img := straightLineImg(t, 100)
-	for _, noSB := range []bool{false, true} {
+	for _, e := range []Engine{EngineTraced, EngineCached} {
 		for budget := uint64(1); budget < 160; budget += 3 {
-			threaded, sw := newCPUPairTD(t, img, noSB, nil)
+			threaded, sw := newTierPair(t, img, e, nil)
 			for {
 				exT := threaded.Run(budget)
 				exS := sw.Run(budget)
 				if exT.Reason != exS.Reason {
-					t.Fatalf("noSB=%v budget %d: exit diverged: threaded %v switch %v (pc %#x vs %#x)",
-						noSB, budget, exT, exS, threaded.PC, sw.PC)
+					t.Fatalf("%v budget %d: exit diverged: threaded %v switch %v (pc %#x vs %#x)",
+						e, budget, exT, exS, threaded.PC, sw.PC)
 				}
 				compareCPUs(t, "dispatch-quantum", threaded, sw)
 				if t.Failed() {
-					t.Fatalf("diverged at noSB=%v budget %d", noSB, budget)
+					t.Fatalf("diverged at %v budget %d", e, budget)
 				}
 				if exT.Reason == ExitHalt {
 					break
@@ -80,9 +55,9 @@ func TestThreadedDispatchQuantumSweep(t *testing.T) {
 }
 
 // TestThreadedDispatchSelfModifyingCode: the SMC bail must behave
-// identically under both dispatch engines.
+// identically on the threaded executors and the oracle's dispatch switch.
 func TestThreadedDispatchSelfModifyingCode(t *testing.T) {
-	threaded, sw := newCPUPairTD(t, smcProgram(), false, nil)
+	threaded, sw := newTierPair(t, smcProgram(), EngineTraced, nil)
 	exT, exS := threaded.Run(1_000_000), sw.Run(1_000_000)
 	if exT.Reason != ExitHalt || exS.Reason != ExitHalt {
 		t.Fatalf("exits: threaded %v switch %v", exT, exS)
@@ -94,11 +69,12 @@ func TestThreadedDispatchSelfModifyingCode(t *testing.T) {
 }
 
 // TestDecodeResolvesExecutors guards the differential suites against
-// vacuity: threaded dispatch is the default, so its plumbing must actually
-// resolve an executor for every decoded slot — a regression that left fn nil
-// would silently fall back to the switch and pass every equivalence test.
+// vacuity: every tier above the oracle dispatches through the executor
+// table, so its plumbing must actually resolve an executor for every decoded
+// slot — a regression that left fn nil would silently fall back to the
+// oracle's switch and pass every equivalence test.
 func TestDecodeResolvesExecutors(t *testing.T) {
-	threaded, _ := newCPUPairTD(t, straightLineImg(t, 100), false, nil)
+	threaded, _ := newTierPair(t, straightLineImg(t, 100), EngineTraced, nil)
 	if ex := threaded.Run(1_000_000); ex.Reason != ExitHalt {
 		t.Fatalf("run ended %v", ex)
 	}
@@ -129,8 +105,8 @@ var knownCSRs = []uint16{
 
 // TestThreadedExecutorsMatchSwitch is the per-opcode equivalence property:
 // for every valid opcode, a randomized single-step through the threaded
-// executor must leave the machine in exactly the state the dispatch switch
-// produces — registers, PC, privilege, CSRs, cycles, instret, every
+// executor must leave the machine in exactly the state the oracle's
+// dispatch switch produces — registers, PC, privilege, CSRs, cycles, instret, every
 // statistic — and agree on whether (and with what) Run would exit. The
 // status/Exit mapping is checked directly: done ⇔ stExit, with the same
 // Exit value.
@@ -150,7 +126,7 @@ func TestThreadedExecutorsMatchSwitch(t *testing.T) {
 			}
 			g.WriteRaw(gfn, buf)
 		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := New(g, mmu.NewContext(g, mmu.StyleDirect), EngineOracle)
 		for i := 1; i < 32; i++ {
 			switch r.Intn(3) {
 			case 0: // in-RAM, aligned: loads/stores usually land

@@ -209,7 +209,7 @@ func TestHostFaultExitOnBalloonedCodePage(t *testing.T) {
 	img, _ := b.Finish()
 	g.Write(0x1000, img)
 	g.Unmap(1) // steal the code page
-	c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+	c := New(g, mmu.NewContext(g, mmu.StyleDirect), EngineTraced)
 	c.Priv = PrivS
 	c.PC = 0x1000
 	ex := c.Run(10_000)

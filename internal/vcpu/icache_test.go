@@ -18,29 +18,6 @@ func words(ins ...isa.Inst) []byte {
 	return img
 }
 
-// newCPUPair builds two CPUs over identical memory images: one with the
-// decoded-instruction cache, one without.
-func newCPUPair(t *testing.T, img []byte) (cached, plain *CPU) {
-	t.Helper()
-	build := func(on bool) *CPU {
-		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
-		if err := g.PopulateAll(); err != nil {
-			t.Fatal(err)
-		}
-		if f := g.Write(0x1000, img); f != nil {
-			t.Fatal(f)
-		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
-		c.Priv = PrivS
-		c.PC = 0x1000
-		if on {
-			c.ICache = NewICache()
-		}
-		return c
-	}
-	return build(true), build(false)
-}
-
 // smcProgram writes a replacement instruction over its own loop body between
 // the first and second iteration:
 //
@@ -71,9 +48,9 @@ func smcProgram() []byte {
 
 // TestICacheSelfModifyingCode: the decoded cache must observe stores to code
 // pages (the per-page version bump) and re-predecode, exactly matching the
-// uncached interpreter.
+// oracle interpreter.
 func TestICacheSelfModifyingCode(t *testing.T) {
-	cached, plain := newCPUPair(t, smcProgram())
+	cached, plain := newTierPair(t, smcProgram(), EngineTraced, nil)
 	exC := cached.Run(1_000_000)
 	exP := plain.Run(1_000_000)
 	if exC.Reason != ExitHalt || exP.Reason != ExitHalt {
@@ -108,7 +85,7 @@ func TestICacheStreamsHotLoop(t *testing.T) {
 		isa.Inst{Op: isa.OpBNE, Rs1: isa.RegS0, Rs2: isa.RegZero, Imm: -8},
 		isa.Inst{Op: isa.OpHALT},
 	)
-	cached, plain := newCPUPair(t, img)
+	cached, plain := newTierPair(t, img, EngineTraced, nil)
 	exC, exP := cached.Run(1_000_000), plain.Run(1_000_000)
 	if exC.Reason != ExitHalt || exP.Reason != ExitHalt {
 		t.Fatalf("exits: cached %v plain %v", exC, exP)
@@ -267,13 +244,14 @@ func TestICacheQuantumAndTraps(t *testing.T) {
 		if f := g.Write(0x1100, handler); f != nil {
 			t.Fatal(f)
 		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		e := EngineOracle
+		if on {
+			e = EngineTraced
+		}
+		c := New(g, mmu.NewContext(g, mmu.StyleDirect), e)
 		c.Priv = PrivS
 		c.PC = 0x1000
 		c.X[isa.RegT0] = 0x1100
-		if on {
-			c.ICache = NewICache()
-		}
 		// Tiny quanta force many exits/re-entries mid-stream.
 		for {
 			ex := c.Run(50)

@@ -9,11 +9,12 @@ import (
 	"govisor/internal/mmu"
 )
 
-// newCPUPairSB builds two CPUs over identical images, both with the decoded
-// cache, differing only in superblock dispatch.
-func newCPUPairSB(t *testing.T, img []byte, tweak func(*CPU)) (blocks, slow *CPU) {
+// newTierPair builds two CPUs over identical images loaded at 0x1000: one
+// at engine tier e, one at the oracle tier it must be indistinguishable
+// from. tweak, when set, applies the same setup to both.
+func newTierPair(t *testing.T, img []byte, e Engine, tweak func(*CPU)) (tier, oracle *CPU) {
 	t.Helper()
-	build := func(noSB bool) *CPU {
+	build := func(e Engine) *CPU {
 		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)
@@ -21,24 +22,22 @@ func newCPUPairSB(t *testing.T, img []byte, tweak func(*CPU)) (blocks, slow *CPU
 		if f := g.Write(0x1000, img); f != nil {
 			t.Fatal(f)
 		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := New(g, mmu.NewContext(g, mmu.StyleDirect), e)
 		c.Priv = PrivS
 		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoSuperblocks = noSB
 		if tweak != nil {
 			tweak(c)
 		}
 		return c
 	}
-	return build(false), build(true)
+	return build(e), build(EngineOracle)
 }
 
 // compareCPUs asserts every architectural and statistical field matches.
 func compareCPUs(t *testing.T, label string, a, b *CPU) {
 	t.Helper()
 	if a.Cycles != b.Cycles || a.Instret != b.Instret {
-		t.Errorf("%s: time diverged: blocks (cyc=%d ret=%d) slow (cyc=%d ret=%d)",
+		t.Errorf("%s: time diverged: (cyc=%d ret=%d) vs oracle (cyc=%d ret=%d)",
 			label, a.Cycles, a.Instret, b.Cycles, b.Instret)
 	}
 	if a.X != b.X || a.PC != b.PC || a.Priv != b.Priv {
@@ -90,7 +89,7 @@ func straightLineImg(t *testing.T, n int) []byte {
 func TestSuperblockQuantumFallback(t *testing.T) {
 	img := straightLineImg(t, 100)
 	for budget := uint64(1); budget < 160; budget += 3 {
-		blocks, slow := newCPUPairSB(t, img, nil)
+		blocks, slow := newTierPair(t, img, EngineTraced, nil)
 		for {
 			exB := blocks.Run(budget)
 			exS := slow.Run(budget)
@@ -139,7 +138,7 @@ func TestSuperblockStimecmpFallback(t *testing.T) {
 					c.CSR.Sstatus = isa.StatusSIE
 				}
 			}
-			blocks, slow := newCPUPairSB(t, img, tweak)
+			blocks, slow := newTierPair(t, img, EngineTraced, tweak)
 			for {
 				exB := blocks.Run(1_000_000)
 				exS := slow.Run(1_000_000)
@@ -174,7 +173,7 @@ func TestSuperblockInterruptWindowFallback(t *testing.T) {
 			c.CSR.Sie = 1 << isa.IntExt
 			c.CSR.Sstatus = isa.StatusSIE
 		}
-		blocks, slow := newCPUPairSB(t, img, tweak)
+		blocks, slow := newTierPair(t, img, EngineTraced, tweak)
 		raised := false
 		for {
 			budget := uint64(25)
@@ -219,7 +218,7 @@ func TestSuperblockInterruptWindowFallback(t *testing.T) {
 // identical with the per-instruction path (which notices on the very next
 // fetch).
 func TestSuperblockSelfModifyingCode(t *testing.T) {
-	blocks, slow := newCPUPairSB(t, smcProgram(), nil)
+	blocks, slow := newTierPair(t, smcProgram(), EngineTraced, nil)
 	exB, exS := blocks.Run(1_000_000), slow.Run(1_000_000)
 	if exB.Reason != ExitHalt || exS.Reason != ExitHalt {
 		t.Fatalf("exits: blocks %v slow %v", exB, exS)
@@ -304,7 +303,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	}
 	ins = append(ins, isa.Inst{Op: isa.OpHALT})
 	img := words(ins...)
-	cached, plain := newCPUPair(t, img)
+	cached, plain := newTierPair(t, img, EngineTraced, nil)
 	span := uint64(len(ins)-1)*cached.Costs.Instr +
 		200*(cached.Costs.MemAccess+cached.MMU.MaxWalkRefs()*cached.Costs.PTRef)
 	delta := span / 2   // span >= delta: admission must refuse...
@@ -324,7 +323,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	// The same saturated entry must also hold with STIMECMP armed just past
 	// the clock: cmp - Cycles < span, so admission refuses; the latch then
 	// fires at the same loop-top boundary either way.
-	cached2, plain2 := newCPUPair(t, img)
+	cached2, plain2 := newTierPair(t, img, EngineTraced, nil)
 	for _, c := range []*CPU{cached2, plain2} {
 		c.Cycles = ^uint64(0) - span - span/4
 		c.CSR.Stimecmp = c.Cycles + delta
@@ -367,22 +366,21 @@ func chainLoopImg(t *testing.T, iters uint64) []byte {
 }
 
 // TestBlockChainCrossPageLoop: a hot loop straddling a page boundary must be
-// byte-identical between the chained engine and the NoBlockChain reference
-// arm — across a budget sweep that lands quantum deadlines on every boundary
-// near the crossing — while the chained run actually crosses and chains.
+// byte-identical between the chained tier and the oracle — across a budget
+// sweep that lands quantum deadlines on every boundary near the crossing —
+// while the chained run actually crosses and chains.
 func TestBlockChainCrossPageLoop(t *testing.T) {
 	img := chainLoopImg(t, 50)
 	for budget := uint64(97); budget < 4000; budget += 449 {
-		chained, _ := newCPUPairSB(t, img, nil)
-		unchained, _ := newCPUPairSB(t, img, func(c *CPU) { c.NoBlockChain = true })
+		chained, oracle := newTierPair(t, img, EngineChained, nil)
 		for {
 			exC := chained.Run(budget)
-			exU := unchained.Run(budget)
-			if exC.Reason != exU.Reason {
-				t.Fatalf("budget %d: exit diverged: chained %v unchained %v (pc %#x vs %#x)",
-					budget, exC, exU, chained.PC, unchained.PC)
+			exO := oracle.Run(budget)
+			if exC.Reason != exO.Reason {
+				t.Fatalf("budget %d: exit diverged: chained %v oracle %v (pc %#x vs %#x)",
+					budget, exC, exO, chained.PC, oracle.PC)
 			}
-			compareCPUs(t, "chain", chained, unchained)
+			compareCPUs(t, "chain", chained, oracle)
 			if t.Failed() {
 				t.Fatalf("diverged at budget %d", budget)
 			}
@@ -394,8 +392,8 @@ func TestBlockChainCrossPageLoop(t *testing.T) {
 		if st.Crossings == 0 || st.ChainHits == 0 {
 			t.Fatalf("budget %d: chain engine idle: %+v", budget, st)
 		}
-		if un := unchained.ICache.Stats; un.Crossings != 0 || un.ChainHits != 0 || un.ChainResolves != 0 {
-			t.Fatalf("budget %d: reference arm used the chain cache: %+v", budget, un)
+		if st.TraceFormations != 0 {
+			t.Fatalf("budget %d: the chained tier formed traces: %+v", budget, st)
 		}
 	}
 }
@@ -404,7 +402,8 @@ func TestBlockChainCrossPageLoop(t *testing.T) {
 // re-proven on every consumption. The guest overwrites an instruction in the
 // *successor* page of a chained crossing (page version bump) and later runs
 // an SFENCE.VMA between chained iterations (TLB generation bump); both must
-// invalidate the link and both arms must stay byte-identical.
+// invalidate the link and the chained tier must stay byte-identical to the
+// oracle.
 func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 	// Loop straddles 0x2000; iteration 25 stores a new instruction into the
 	// successor page (changing an ADDI a0,+1 to ADDI a0,+3 at 0x2010), and
@@ -441,13 +440,12 @@ func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 	}
 	for _, sfence := range []bool{false, true} {
 		img := build(sfence)
-		chained, _ := newCPUPairSB(t, img, nil)
-		unchained, _ := newCPUPairSB(t, img, func(c *CPU) { c.NoBlockChain = true })
-		exC, exU := chained.Run(10_000_000), unchained.Run(10_000_000)
-		if exC.Reason != ExitHalt || exU.Reason != ExitHalt {
-			t.Fatalf("sfence=%v exits: chained %v unchained %v", sfence, exC, exU)
+		chained, oracle := newTierPair(t, img, EngineChained, nil)
+		exC, exO := chained.Run(10_000_000), oracle.Run(10_000_000)
+		if exC.Reason != ExitHalt || exO.Reason != ExitHalt {
+			t.Fatalf("sfence=%v exits: chained %v oracle %v", sfence, exC, exO)
 		}
-		compareCPUs(t, "chain-smc", chained, unchained)
+		compareCPUs(t, "chain-smc", chained, oracle)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -463,7 +461,7 @@ func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 // link's translation snapshot still names the old frame (whose content, and
 // hence page version, never changed), so only the TLB-generation check in
 // mmu.ChainFetch stands between the chained arm and silently executing stale
-// code. The chained and unchained arms must stay byte-identical across the
+// code. The chained tier must stay byte-identical to the oracle across the
 // remap, and both must observe the new frame's code.
 func TestBlockChainRemapFlushExact(t *testing.T) {
 	const (
@@ -473,7 +471,7 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 		iters    = uint64(64)
 		remapAt  = uint64(32)
 	)
-	build := func(noChain bool) *CPU {
+	build := func(e Engine) *CPU {
 		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)
@@ -546,16 +544,14 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 			t.Fatal(f)
 		}
 
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := New(g, mmu.NewContext(g, mmu.StyleDirect), e)
 		c.Priv = PrivS
 		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoBlockChain = noChain
 		return c
 	}
 
-	chained, plain := build(false), build(true)
-	for name, c := range map[string]*CPU{"chained": chained, "plain": plain} {
+	chained, oracle := build(EngineChained), build(EngineOracle)
+	for name, c := range map[string]*CPU{"chained": chained, "oracle": oracle} {
 		if ex := c.Run(10_000_000); ex.Reason != ExitHalt {
 			t.Fatalf("%s: exit %v (pc=%#x)", name, ex, c.PC)
 		}
@@ -563,11 +559,11 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 	// Iterations 0..remapAt ran frame 1 (+1), the rest frame 2 (+2): both
 	// arms must have switched frames at exactly the remap.
 	want := (remapAt + 1) + (iters-remapAt-1)*2
-	if chained.X[isa.RegA1] != want || plain.X[isa.RegA1] != want {
-		t.Errorf("a1: chained=%d plain=%d want %d (stale frame executed?)",
-			chained.X[isa.RegA1], plain.X[isa.RegA1], want)
+	if chained.X[isa.RegA1] != want || oracle.X[isa.RegA1] != want {
+		t.Errorf("a1: chained=%d oracle=%d want %d (stale frame executed?)",
+			chained.X[isa.RegA1], oracle.X[isa.RegA1], want)
 	}
-	compareCPUs(t, "remap", chained, plain)
+	compareCPUs(t, "remap", chained, oracle)
 	if st := chained.ICache.Stats; st.ChainHits == 0 {
 		t.Errorf("chained arm never chained: %+v", st)
 	}

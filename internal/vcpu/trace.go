@@ -42,9 +42,8 @@ import (
 //     where the untraced run would have noticed, with accounting flushed
 //     for everything that actually retired.
 //
-// The whole engine is host-side: Config.NoTraces (implied by NoBlockChain)
-// disables it for the differential reference arm, and the suites in
-// internal/guest prove guest-visible state byte-identical either way.
+// The whole engine is host-side and runs only at EngineTraced; the suites in
+// internal/guest prove guest-visible state byte-identical to the oracle.
 
 const (
 	// traceHotThreshold is how many consecutive validated consumes a chain
@@ -246,7 +245,7 @@ const (
 // the hop can have changed the page's version without ending it as stSMC),
 // then the slot's lazy decode and the same executor the outer loop would
 // call. Cycle/instret accounting stays with the caller's batch.
-func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64, threaded bool) int {
+func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64) int {
 	if !c.MMU.ReplayFetch(c.PC) {
 		return termBail
 	}
@@ -260,15 +259,8 @@ func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64, threaded b
 		p.fn[j] = execTable.For(p.ins[j].Op)
 		p.valid[j>>6] |= 1 << (j & 63)
 	}
-	if threaded {
-		if st := p.fn[j](c, p.ins[j], p.raw[j]); st == stExit {
-			return termExit
-		}
-	} else {
-		if ex, d := c.execute(p.ins[j], p.raw[j]); d {
-			c.pendExit = ex
-			return termExit
-		}
+	if st := p.fn[j](c, p.ins[j], p.raw[j]); st == stExit {
+		return termExit
 	}
 	if c.PC != expectPC {
 		return termDiverge
@@ -349,7 +341,6 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 	ic.Stats.TraceEntries++
 
 	instr := c.Costs.Instr
-	threaded := !c.NoThreadedDispatch
 	var retired uint64
 	// flushExit ends the pass at the current instruction boundary with
 	// accounting batched for everything that actually retired. (retired is
@@ -363,7 +354,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		for k := 0; k < nh; k++ {
 			rt := &tr.rt[k]
 			c.codeGfn = rt.gfn
-			r, st := c.retireRun(rt.p, rt.slot, rt.n, threaded, rt.p.blkMem[rt.slot] == 0)
+			r, st := c.retireRun(rt.p, rt.slot, rt.n, rt.p.blkMem[rt.slot] == 0)
 			retired += r
 			if st != stOK {
 				flushExit(retired)
@@ -394,7 +385,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				ic.noteChainHit(next.link.gfn, next.link.page)
 				ic.Stats.Crossings++
 			} else {
-				switch c.traceTerm(rt.p, rt.term, next.link.pc, threaded) {
+				switch c.traceTerm(rt.p, rt.term, next.link.pc) {
 				case termBail:
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
@@ -441,7 +432,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		}
 		// Closed loop: retire the tail terminator; control should return
 		// to the head.
-		switch c.traceTerm(last.p, last.term, tr.headPC, threaded) {
+		switch c.traceTerm(last.p, last.term, tr.headPC) {
 		case termBail:
 			flushExit(retired)
 			ic.Stats.TraceDemotions++

@@ -10,23 +10,14 @@ import (
 	"govisor/internal/mmu"
 )
 
-// newCPUPairTrace builds two CPUs over identical images, both with the full
-// chained-block engine, differing only in hot-trace promotion.
-func newCPUPairTrace(t *testing.T, img []byte) (traced, plain *CPU) {
-	t.Helper()
-	traced, _ = newCPUPairSB(t, img, nil)
-	plain, _ = newCPUPairSB(t, img, func(c *CPU) { c.NoTraces = true })
-	return traced, plain
-}
-
 // runPairToHalt drives both arms to halt and asserts byte-identical state.
-func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
+func runPairToHalt(t *testing.T, label string, traced, oracle *CPU) {
 	t.Helper()
-	exT, exP := traced.Run(50_000_000), plain.Run(50_000_000)
+	exT, exP := traced.Run(50_000_000), oracle.Run(50_000_000)
 	if exT.Reason != ExitHalt || exP.Reason != ExitHalt {
-		t.Fatalf("%s: exits: traced %v plain %v (pc %#x vs %#x)", label, exT, exP, traced.PC, plain.PC)
+		t.Fatalf("%s: exits: traced %v oracle %v (pc %#x vs %#x)", label, exT, exP, traced.PC, oracle.PC)
 	}
-	compareCPUs(t, label, traced, plain)
+	compareCPUs(t, label, traced, oracle)
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -34,19 +25,14 @@ func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
 
 // TestTraceFormationAndLoop: the boundary-straddling hot loop must promote
 // to a closed-loop trace (one formation, one entry per iteration) and stay
-// byte-identical to the NoTraces reference arm, which must never touch the
-// trace machinery.
+// byte-identical to the oracle.
 func TestTraceFormationAndLoop(t *testing.T) {
 	img := chainLoopImg(t, 200)
-	traced, plain := newCPUPairTrace(t, img)
-	runPairToHalt(t, "trace-loop", traced, plain)
+	traced, oracle := newTierPair(t, img, EngineTraced, nil)
+	runPairToHalt(t, "trace-loop", traced, oracle)
 	st := traced.ICache.Stats
 	if st.TraceFormations == 0 || st.TraceEntries < 100 {
 		t.Fatalf("trace engine idle on a hot loop: %+v", st)
-	}
-	if pst := plain.ICache.Stats; pst.TraceFormations != 0 || pst.TraceEntries != 0 ||
-		pst.TraceDemotions != 0 || pst.TraceInvalidations != 0 {
-		t.Fatalf("reference arm used the trace engine: %+v", pst)
 	}
 }
 
@@ -59,15 +45,15 @@ func TestTraceQuantumFallback(t *testing.T) {
 	img := chainLoopImg(t, 60)
 	var entries uint64
 	for budget := uint64(97); budget < 4000; budget += 449 {
-		traced, plain := newCPUPairTrace(t, img)
+		traced, oracle := newTierPair(t, img, EngineTraced, nil)
 		for {
 			exT := traced.Run(budget)
-			exP := plain.Run(budget)
+			exP := oracle.Run(budget)
 			if exT.Reason != exP.Reason {
-				t.Fatalf("budget %d: exit diverged: traced %v plain %v (pc %#x vs %#x)",
-					budget, exT, exP, traced.PC, plain.PC)
+				t.Fatalf("budget %d: exit diverged: traced %v oracle %v (pc %#x vs %#x)",
+					budget, exT, exP, traced.PC, oracle.PC)
 			}
-			compareCPUs(t, "trace-quantum", traced, plain)
+			compareCPUs(t, "trace-quantum", traced, oracle)
 			if t.Failed() {
 				t.Fatalf("diverged at budget %d", budget)
 			}
@@ -89,11 +75,11 @@ func TestTraceQuantumFallback(t *testing.T) {
 func TestTraceStimecmpExact(t *testing.T) {
 	img := chainLoopImg(t, 60)
 	for cmp := uint64(50); cmp < 6000; cmp += 377 {
-		traced, plain := newCPUPairTrace(t, img)
-		traced.CSR.Stimecmp, plain.CSR.Stimecmp = cmp, cmp
-		runPairToHalt(t, "trace-stimecmp", traced, plain)
-		if traced.CSR.Sip != plain.CSR.Sip {
-			t.Fatalf("cmp %d: Sip diverged: %#x vs %#x", cmp, traced.CSR.Sip, plain.CSR.Sip)
+		traced, oracle := newTierPair(t, img, EngineTraced, nil)
+		traced.CSR.Stimecmp, oracle.CSR.Stimecmp = cmp, cmp
+		runPairToHalt(t, "trace-stimecmp", traced, oracle)
+		if traced.CSR.Sip != oracle.CSR.Sip {
+			t.Fatalf("cmp %d: Sip diverged: %#x vs %#x", cmp, traced.CSR.Sip, oracle.CSR.Sip)
 		}
 	}
 }
@@ -147,8 +133,8 @@ func traceTortureImg(t *testing.T, iters, patchAt uint64, sfence bool) []byte {
 // byte-identical through the patch, the refill and the re-formation.
 func TestTraceSMCMidTraceConstituent(t *testing.T) {
 	img := traceTortureImg(t, 50, 25, false)
-	traced, plain := newCPUPairTrace(t, img)
-	runPairToHalt(t, "trace-smc", traced, plain)
+	traced, oracle := newTierPair(t, img, EngineTraced, nil)
+	runPairToHalt(t, "trace-smc", traced, oracle)
 	st := traced.ICache.Stats
 	if st.TraceEntries == 0 {
 		t.Fatalf("trace never entered before the patch: %+v", st)
@@ -163,11 +149,11 @@ func TestTraceSMCMidTraceConstituent(t *testing.T) {
 // trace depends on goes stale at once. Entry admission must refuse the pass
 // (a demotion per fence) and fall back to the block path, which re-proves
 // the links; once their snapshots are fresh the same trace re-admits — all
-// byte-identical to the reference arm.
+// byte-identical to the oracle.
 func TestTraceSfenceBetweenFormationAndEntry(t *testing.T) {
 	img := traceTortureImg(t, 96, 0, true)
-	traced, plain := newCPUPairTrace(t, img)
-	runPairToHalt(t, "trace-sfence", traced, plain)
+	traced, oracle := newTierPair(t, img, EngineTraced, nil)
+	runPairToHalt(t, "trace-sfence", traced, oracle)
 	st := traced.ICache.Stats
 	if st.TraceDemotions == 0 {
 		t.Fatalf("SFENCE churn never demoted a pass: %+v", st)
@@ -194,7 +180,7 @@ func TestTraceRemapFlushExact(t *testing.T) {
 		iters    = uint64(64)
 		remapAt  = uint64(32)
 	)
-	build := func(noTraces bool) *CPU {
+	build := func(e Engine) *CPU {
 		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)
@@ -269,20 +255,18 @@ func TestTraceRemapFlushExact(t *testing.T) {
 			t.Fatal(f)
 		}
 
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := New(g, mmu.NewContext(g, mmu.StyleDirect), e)
 		c.Priv = PrivS
 		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoTraces = noTraces
 		return c
 	}
 
-	traced, plain := build(false), build(true)
-	runPairToHalt(t, "trace-remap", traced, plain)
+	traced, oracle := build(EngineTraced), build(EngineOracle)
+	runPairToHalt(t, "trace-remap", traced, oracle)
 	want := (remapAt + 1) + (iters-remapAt-1)*2
-	if traced.X[isa.RegA1] != want || plain.X[isa.RegA1] != want {
-		t.Errorf("a1: traced=%d plain=%d want %d (stale frame executed?)",
-			traced.X[isa.RegA1], plain.X[isa.RegA1], want)
+	if traced.X[isa.RegA1] != want || oracle.X[isa.RegA1] != want {
+		t.Errorf("a1: traced=%d oracle=%d want %d (stale frame executed?)",
+			traced.X[isa.RegA1], oracle.X[isa.RegA1], want)
 	}
 	if st := traced.ICache.Stats; st.TraceEntries == 0 {
 		t.Errorf("traced arm never entered a trace: %+v", st)
@@ -310,8 +294,8 @@ func TestTraceStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, plain := newCPUPairTrace(t, img)
-	runPairToHalt(t, "trace-evict", traced, plain)
+	traced, oracle := newTierPair(t, img, EngineTraced, nil)
+	runPairToHalt(t, "trace-evict", traced, oracle)
 	st := traced.ICache.Stats
 	if st.TraceFormations < loops {
 		t.Fatalf("expected ≥%d formations, got %+v", loops, st)

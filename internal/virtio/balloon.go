@@ -72,6 +72,7 @@ func (b *Balloon) Actual() uint64 { return b.actualPages }
 // Process implements Backend.
 func (b *Balloon) Process(q *Queue, qi int) {
 	completed := false
+	var buf []byte
 	for {
 		ch, ok := q.Pop()
 		if !ok {
@@ -81,9 +82,9 @@ func (b *Balloon) Process(q *Queue, qi int) {
 			if d.Device || d.Len%8 != 0 {
 				continue
 			}
-			buf := make([]byte, d.Len)
-			if err := q.ReadFrom(d, buf); err != nil {
-				continue
+			var err error
+			if buf, err = q.ReadAll(d, buf); err != nil {
+				continue // a faulting array leases or returns nothing
 			}
 			for off := 0; off+8 <= len(buf); off += 8 {
 				gfn := binary.LittleEndian.Uint64(buf[off:])

@@ -38,6 +38,7 @@ func (c *Console) Process(q *Queue, qi int) {
 	switch qi {
 	case ConsoleTXQueue:
 		completed := false
+		var buf []byte
 		for {
 			ch, ok := q.Pop()
 			if !ok {
@@ -47,10 +48,12 @@ func (c *Console) Process(q *Queue, qi int) {
 				if d.Device {
 					continue
 				}
-				buf := make([]byte, d.Len)
-				q.ReadFrom(d, buf)
+				var err error
+				if buf, err = q.ReadAll(d, buf); err != nil {
+					break // the buffer faulted: nothing from it on is emitted
+				}
 				c.out.Write(buf)
-				c.TxBytes += uint64(d.Len)
+				c.TxBytes += uint64(len(buf))
 			}
 			q.Push(ch.Head, 0)
 			completed = true

@@ -221,6 +221,23 @@ func (q *Queue) ReadFrom(b DescBuf, buf []byte) error {
 	return nil
 }
 
+// ReadAll copies a driver-readable descriptor's Len bytes out of guest
+// memory into buf's storage, growing it only when it is too small, and
+// returns the filled slice. A Len larger than guest RAM cannot lie inside
+// RAM, so it is reported as the fault the copy would hit before any host
+// memory is sized by the guest-controlled length: callers that reuse buf
+// across descriptors allocate at most guest-RAM-size bytes.
+func (q *Queue) ReadAll(d DescBuf, buf []byte) ([]byte, error) {
+	if uint64(d.Len) > q.g.Size() {
+		return buf[:0], &mem.Fault{Kind: mem.FaultBeyondRAM, GPA: d.Addr}
+	}
+	if cap(buf) < int(d.Len) {
+		buf = make([]byte, d.Len)
+	}
+	buf = buf[:d.Len]
+	return buf, q.ReadFrom(d, buf)
+}
+
 // WriteTo copies data into a device-writable buffer through the span memo.
 func (q *Queue) WriteTo(b DescBuf, data []byte) error {
 	n := len(data)

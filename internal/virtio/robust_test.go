@@ -7,6 +7,7 @@ package virtio
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"govisor/internal/isa"
@@ -447,5 +448,73 @@ func TestConsoleRxFaultKeepsInput(t *testing.T) {
 	g.Read(buf, got)
 	if string(got) != "hi" || con.RxBytes != 2 {
 		t.Fatalf("rx = %q RxBytes = %d, want \"hi\"/2", got, con.RxBytes)
+	}
+}
+
+// TestConsoleTxFaultStopsChain is the regression test for virtio-console
+// emitting bytes the guest never wrote: a TX buffer outside guest RAM used
+// to append Len zero bytes to the output and count them in TxBytes, and the
+// rest of the chain still went out. The chain must stop at the first
+// faulting buffer, with nothing emitted or counted from it on, and still
+// complete.
+func TestConsoleTxFaultStopsChain(t *testing.T) {
+	g := newGuest(t, 64)
+	con := NewConsole()
+	d := NewMMIODev("vcon", con, g, nil)
+	con.Bind(d)
+	drv, buf, err := NewDriver(g, d, ConsoleTXQueue, 0xC000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Write(buf, []byte("ab"))
+	g.Write(buf+0x100, []byte("cd"))
+	chain := []DescBuf{
+		{Addr: buf, Len: 2},
+		{Addr: g.Size() + 0x1000, Len: 16}, // beyond RAM
+		{Addr: buf + 0x100, Len: 2},
+	}
+	if _, err := drv.Submit(chain); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("faulting tx chain was not completed")
+	}
+	if got := con.Output(); got != "ab" || con.TxBytes != 2 {
+		t.Fatalf("output %q TxBytes %d, want \"ab\"/2: the chain must stop at the faulting buffer",
+			got, con.TxBytes)
+	}
+}
+
+// TestBalloonHugeDescriptorBoundedAlloc is the regression test for
+// virtio-balloon sizing a host allocation by the guest-controlled
+// descriptor length: a 256 MiB inflate array in a 256 KiB guest used to
+// allocate 256 MiB before the copy faulted. It must fault without
+// allocating anything near that and reclaim nothing.
+func TestBalloonHugeDescriptorBoundedAlloc(t *testing.T) {
+	g := newGuest(t, 64)
+	ops := &fakeBalloonOps{}
+	bal := NewBalloon(ops)
+	d := NewMMIODev("vballoon", bal, g, nil)
+	bal.Bind(d)
+	drv, buf, err := NewDriver(g, d, BalloonInflateQueue, 0x8000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: 256 << 20}}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	drv.Kick()
+	runtime.ReadMemStats(&after)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 16<<20 {
+		t.Fatalf("a 256 MiB descriptor allocated %d bytes on the host", delta)
+	}
+	if len(ops.reclaimed) != 0 || bal.Actual() != 0 {
+		t.Fatalf("faulting inflate array reclaimed %d pages (actual %d)", len(ops.reclaimed), bal.Actual())
+	}
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("faulting inflate chain was not completed")
 	}
 }
